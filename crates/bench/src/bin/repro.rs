@@ -476,8 +476,8 @@ fn run_telemetry_report(
             std::fs::write(&path, body).expect("write telemetry artifact");
             eprintln!("[telemetry] wrote {}", path.display());
         };
-        write("phases", c.report.phases_json());
-        write("registry", c.report.registry_json());
+        write("phases", c.report.phases.to_json());
+        write("registry", c.report.registry.to_json());
         write("trace", c.report.chrome_trace_json());
     }
 }

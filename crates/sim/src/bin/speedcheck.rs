@@ -10,46 +10,24 @@
 //! cargo run --release -p etpp-sim --bin speedcheck -- --json out.json
 //! cargo run --release -p etpp-sim --bin speedcheck -- --compare prev.json
 //! cargo run --release -p etpp-sim --bin speedcheck -- --telemetry
+//! cargo run --release -p etpp-sim --bin speedcheck -- --compare-only prev.json new.json
 //! ```
 //!
-//! Both paths report `accesses_per_s` (host throughput over the demand
-//! stream) and the deterministic event-horizon *fast-forward factor*
-//! (simulated cycles per driver visit) — PR 2 brought programmable-mode
-//! replay within reach of the baselines, PR 3's horizon-aware cycle
-//! core stopped the reference simulations from ticking through
-//! 99%-plus-stall spans one cycle at a time, and PR 4's dense-span fusion +
-//! wake-driven structural stalls put the programmable cycle path ahead
-//! of where the baselines used to be. Schema 3 adds the per-source
-//! *visit attribution* (`visits`) on every cycle row — which horizon
-//! source ended each driver visit — and at least one compiled
-//! programmable mode (`converted`) so the regression gate guards the
-//! hot path the paper is about. Schema 4 adds `cycle_agreement` to
-//! every replay row — replayed cycles over the cycle core's cycles for
-//! the same (workload, mode) — now that dependence-aware replay (trace
-//! format v2) makes absolute cycle counts comparable, plus the
-//! `dep_stalls` serialisation count behind it. Schema 5 puts prefetch
-//! *quality* next to throughput: every cycle row carries
-//! `late_pf_merges` (demand misses that caught an in-flight prefetch),
-//! and `--telemetry` adds the full lifecycle classification
-//! (`issued`/`accurate`/`late`/`early_evicted`/`useless`) from a
-//! second, untimed telemetry-enabled run per cell — untimed because the
-//! timed cells stay telemetry-off, which is what the throughput gates
-//! measure. Schema 6 adds the `sweep` stanza: a small composed sweep
-//! (see `etpp_sim::sweeps`) run twice against a scratch result cache —
-//! cold then warm — recording the `sweep.cache.{hit,miss,escalated}`
-//! counters and wall time of each pass. The stanza is its own gate: the
-//! warm pass must hit on every lookup (one stale-keyed cell would
-//! silently resimulate on every farm run) and must not escalate.
-//! Schema 7 arms the cooperative watchdog (see `etpp_sim::watchdog`)
-//! on every *timed* cell with a generous budget that never fires, so
-//! the throughput numbers — and the overhead gate below — measure the
-//! production configuration: strided deadline polls in the driver and
-//! memory system included. The report records it in the `watchdog`
-//! stanza. Schema 8 adds the engine-zoo modes (`PrefetchMode::ZOO`:
-//! `rpt_stride`, `pc_delta`, `adaptive`) to the cell grid so the new
-//! engines' throughput rides the same gates; against a schema-7
-//! report, `--compare` lists their rows as coverage drift, not
-//! failures.
+//! Unknown flags, and a missing or malformed flag value, print usage and
+//! exit 2.
+//!
+//! Every cell reports `accesses_per_s` (host throughput over the demand
+//! stream) and the deterministic *fast-forward factor* (simulated cycles
+//! per driver visit). Cycle rows add the per-source `visits`
+//! attribution, `late_pf_merges` and, under `--telemetry`, the prefetch
+//! `lifecycle` from a second, untimed run (timed cells stay
+//! telemetry-off). Replay rows add `cycle_agreement` (replayed over
+//! cycle-core cycles) and `dep_stalls`. The modes include the compiled
+//! `converted` kernels and the engine zoo. The `sweep` stanza runs a
+//! small composed sweep cold then warm against a scratch result cache;
+//! its warm pass must hit every lookup and never escalate. The
+//! `watchdog` stanza records that timed cells run armed with a budget
+//! that never fires, so throughput includes the deadline polls.
 //!
 //! `--jobs N` shards the (workload × path × mode) cell grid across N
 //! worker threads; each cell's `wall_s` is still measured around its
@@ -69,7 +47,9 @@
 //! per-cell noise averages out across the grid, so a systematic ≳1%
 //! slowdown (the combined budget for the disabled telemetry hooks and
 //! the armed watchdog's strided polls) fails even when no individual
-//! cell trips the 20% gate.
+//! cell trips the 20% gate. A previous report that does not exist is
+//! skipped (a first run has nothing to compare against); one that
+//! exists but does not parse, or lacks `scale` or `workloads`, exits 2.
 
 use etpp_mem::LifecycleCounts;
 use etpp_sim::experiments::{map_indexed, sample_interval};
@@ -78,8 +58,9 @@ use etpp_sim::sweeps;
 use etpp_sim::{
     run_telemetry, run_watched, PrefetchMode, SystemConfig, TelemetrySpec, VisitCounts, Watchdog,
 };
+use etpp_telemetry::json::{self, Value};
+use etpp_telemetry::obj;
 use etpp_workloads::{BuiltWorkload, Scale, Workload};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Per-cell deadline for the timed grid: generous enough that it can
@@ -147,10 +128,6 @@ struct WorkloadReport {
     trace_accesses: u64,
     cycle: Vec<CycleRow>,
     replay: Vec<ReplayRow>,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Cache-effectiveness counters of one sweep pass (cold or warm) over
@@ -249,128 +226,56 @@ fn render_json(
     reports: &[WorkloadReport],
     sweep: &SweepStanza,
 ) -> String {
-    let mut j = String::new();
-    j.push_str("{\n  \"schema\": 8,\n  \"tool\": \"speedcheck\",\n");
-    let _ = writeln!(j, "  \"scale\": \"{}\",", json_escape(scale));
-    let _ = writeln!(j, "  \"jobs\": {jobs},");
-    let mode_list = modes
-        .iter()
-        .map(|m| format!("\"{}\"", m.key()))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let _ = writeln!(j, "  \"modes\": [{mode_list}],");
-    let _ = writeln!(
-        j,
-        "  \"watchdog\": {{\"armed\": true, \"budget_s\": {}}},",
-        WATCHDOG_BUDGET.as_secs()
-    );
-    let sweep_pass = |p: &SweepPass| {
-        format!(
-            "{{\"hit\": {}, \"miss\": {}, \"escalated\": {}, \"wall_s\": {:.6}}}",
-            p.hit, p.miss, p.escalated, p.wall_s
-        )
+    let pass = |p: &SweepPass| {
+        let wall_s = Value::fixed(p.wall_s, 6);
+        obj! { "hit": p.hit, "miss": p.miss, "escalated": p.escalated, "wall_s": wall_s }
     };
-    let _ = writeln!(
-        j,
-        "  \"sweep\": {{\"cells\": {}, \"cold\": {}, \"warm\": {}}},",
-        sweep.cells,
-        sweep_pass(&sweep.cold),
-        sweep_pass(&sweep.warm)
-    );
-    j.push_str("  \"workloads\": [\n");
-    for (wi, w) in reports.iter().enumerate() {
-        let _ = writeln!(j, "    {{\n      \"name\": \"{}\",", json_escape(w.name));
-        let _ = writeln!(j, "      \"trace_accesses\": {},", w.trace_accesses);
-        j.push_str("      \"cycle\": [\n");
-        for (i, r) in w.cycle.iter().enumerate() {
-            let visits = r
-                .visits
-                .iter()
-                .filter(|(_, count)| *count > 0)
-                .map(|(key, count)| format!("\"{key}\": {count}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let lifecycle = r.lifecycle.as_ref().map_or(String::from("null"), |l| {
-                format!(
-                    "{{\"issued\": {}, \"accurate\": {}, \"late\": {}, \
-                     \"early_evicted\": {}, \"useless\": {}}}",
-                    l.issued, l.accurate, l.late, l.early_evicted, l.useless
-                )
-            });
-            let _ = write!(
-                j,
-                "        {{\"mode\": \"{}\", \"cycles\": {}, \"host_iters\": {}, \
-                 \"fast_forward\": {:.3}, \"wall_s\": {:.6}, \"accesses_per_s\": {:.1}, \
-                 \"validated\": {}, \"late_pf_merges\": {}, \"lifecycle\": {lifecycle}, \
-                 \"visits\": {{{visits}}}}}",
-                r.mode.key(),
-                r.cycles,
-                r.host_iters,
-                r.ff(),
-                r.wall_s,
-                r.accesses_per_s,
-                r.validated,
-                r.late_pf_merges
-            );
-            j.push_str(if i + 1 < w.cycle.len() { ",\n" } else { "\n" });
+    let cycle_row = |r: &CycleRow| {
+        let lifecycle = r.lifecycle.as_ref().map(|l| {
+            obj! {
+                "issued": l.issued, "accurate": l.accurate, "late": l.late,
+                "early_evicted": l.early_evicted, "useless": l.useless,
+            }
+        });
+        let visits = r.visits.iter().filter(|(_, count)| *count > 0);
+        obj! {
+            "mode": r.mode.key(), "cycles": r.cycles, "host_iters": r.host_iters,
+            "fast_forward": Value::fixed(r.ff(), 3), "wall_s": Value::fixed(r.wall_s, 6),
+            "accesses_per_s": Value::fixed(r.accesses_per_s, 1), "validated": r.validated,
+            "late_pf_merges": r.late_pf_merges, "lifecycle": lifecycle,
+            "visits": Value::object(visits.map(|(k, n)| (k, n.into()))),
         }
-        j.push_str("      ],\n      \"replay\": [\n");
-        for (i, r) in w.replay.iter().enumerate() {
-            let speedup = r
-                .host_speedup
-                .map_or("null".to_string(), |s| format!("{s:.3}"));
-            let agreement = r
-                .cycle_agreement
-                .map_or("null".to_string(), |a| format!("{a:.3}"));
-            let _ = write!(
-                j,
-                "        {{\"mode\": \"{}\", \"cycles\": {}, \"host_iters\": {}, \
-                 \"fast_forward\": {:.3}, \"wall_s\": {:.6}, \"accesses_per_s\": {:.1}, \
-                 \"host_speedup\": {}, \"cycle_agreement\": {}, \"dep_stalls\": {}, \
-                 \"validated\": {}}}",
-                r.mode.key(),
-                r.cycles,
-                r.host_iters,
-                r.ff(),
-                r.wall_s,
-                r.accesses_per_s,
-                speedup,
-                agreement,
-                r.dep_stalls,
-                r.validated
-            );
-            j.push_str(if i + 1 < w.replay.len() { ",\n" } else { "\n" });
+    };
+    let replay_row = |r: &ReplayRow| {
+        obj! {
+            "mode": r.mode.key(), "cycles": r.cycles, "host_iters": r.host_iters,
+            "fast_forward": Value::fixed(r.ff(), 3), "wall_s": Value::fixed(r.wall_s, 6),
+            "accesses_per_s": Value::fixed(r.accesses_per_s, 1),
+            "host_speedup": r.host_speedup.map(|s| Value::fixed(s, 3)),
+            "cycle_agreement": r.cycle_agreement.map(|a| Value::fixed(a, 3)),
+            "dep_stalls": r.dep_stalls, "validated": r.validated,
         }
-        j.push_str("      ]\n    }");
-        j.push_str(if wi + 1 < reports.len() { ",\n" } else { "\n" });
+    };
+    let workloads = reports.iter().map(|w| {
+        obj! {
+            "name": w.name, "trace_accesses": w.trace_accesses,
+            "cycle": w.cycle.iter().map(cycle_row).collect::<Value>(),
+            "replay": w.replay.iter().map(replay_row).collect::<Value>(),
+        }
+    });
+    let sweep = obj! { "cells": sweep.cells, "cold": pass(&sweep.cold), "warm": pass(&sweep.warm) };
+    obj! {
+        "schema": 8u32, "tool": "speedcheck", "scale": scale, "jobs": jobs,
+        "modes": modes.iter().map(|m| m.key()).collect::<Value>(),
+        "watchdog": obj! { "armed": true, "budget_s": WATCHDOG_BUDGET.as_secs() },
+        "sweep": sweep, "workloads": workloads.collect::<Value>(),
     }
-    j.push_str("  ]\n}\n");
-    j
+    .to_pretty(4)
 }
 
 // ---------------------------------------------------------------------------
 // --compare: host-profile regression gate against a previous report
 // ---------------------------------------------------------------------------
-
-/// Extracts `"key": <number>` from a one-cell JSON line (speedcheck's
-/// own output format; not a general JSON parser).
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": "<string>"` from a line of speedcheck JSON.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
 
 /// One parsed throughput cell: host accesses/s plus the deterministic
 /// fast-forward factor (absent in schema-1 cycle rows).
@@ -380,39 +285,58 @@ struct Cell {
     fast_forward: Option<f64>,
 }
 
-/// A parsed speedcheck report (schema 1 or 2): the run scale and its
-/// `(workload, path, mode)` cells. Cells without an `accesses_per_s`
-/// field (schema 1 cycle rows) are omitted.
+/// A parsed speedcheck report (any schema): the run scale and its
+/// `(workload, path, mode)` cells. Rows without an `accesses_per_s`
+/// member (schema-1 cycle rows) are omitted.
 struct Report {
     scale: String,
     cells: Vec<Cell>,
 }
 
-fn parse_report(json: &str) -> Report {
-    let mut scale = String::new();
-    let mut cells = Vec::new();
-    let mut workload = String::new();
-    let mut path = String::new();
-    for line in json.lines() {
-        if let Some(s) = field_str(line, "scale") {
-            scale = s;
-        } else if let Some(name) = field_str(line, "name") {
-            workload = name;
-        } else if line.trim_start().starts_with("\"cycle\": [") {
-            path = "cycle".to_string();
-        } else if line.trim_start().starts_with("\"replay\": [") {
-            path = "replay".to_string();
-        } else if let (Some(mode), Some(aps)) =
-            (field_str(line, "mode"), field_num(line, "accesses_per_s"))
-        {
-            cells.push(Cell {
-                key: (workload.clone(), path.clone(), mode),
-                accesses_per_s: aps,
-                fast_forward: field_num(line, "fast_forward"),
-            });
+/// Parses a report strictly: malformed JSON, or a missing `scale` or
+/// `workloads`, is an error naming the problem.
+fn parse_report(text: &str) -> Result<Report, String> {
+    let v = json::parse(text)?;
+    let workloads = v.array_of("workloads", |w| {
+        let name: String = w.field("name")?;
+        let mut cells = Vec::new();
+        for path in ["cycle", "replay"] {
+            let rows = w.array_of(path, |r| {
+                let key = (name.clone(), path.to_string(), r.field("mode")?);
+                let fast_forward = r.field("fast_forward")?;
+                let aps: Option<f64> = r.field("accesses_per_s")?;
+                Ok(aps.map(|accesses_per_s| Cell {
+                    key,
+                    accesses_per_s,
+                    fast_forward,
+                }))
+            })?;
+            cells.extend(rows.into_iter().flatten());
         }
-    }
-    Report { scale, cells }
+        Ok(cells)
+    })?;
+    Ok(Report {
+        scale: v.field("scale")?,
+        cells: workloads.into_iter().flatten().collect(),
+    })
+}
+
+/// Reads and parses the report at `path` for the gate. A missing file
+/// is `None` when `missing_ok` (a first run has no previous report to
+/// compare against); any other failure exits 2 naming the problem.
+fn load_report(path: &str, missing_ok: bool) -> Option<Report> {
+    let parsed = match std::fs::read_to_string(path) {
+        Err(e) if missing_ok && e.kind() == std::io::ErrorKind::NotFound => {
+            eprintln!("compare: skipping ({path} does not exist)");
+            return None;
+        }
+        Err(e) => Err(e.to_string()),
+        Ok(text) => parse_report(&text),
+    };
+    Some(parsed.unwrap_or_else(|e| {
+        eprintln!("compare: unusable report {path}: {e}");
+        std::process::exit(2);
+    }))
 }
 
 /// Compares the freshly written report against a previous one, failing
@@ -424,9 +348,7 @@ fn parse_report(json: &str) -> Report {
 /// untouched, while a real scheduling regression moves both. Reports
 /// from different scales are never compared. Returns the number of
 /// regressed cells.
-fn compare_reports(prev: &str, current: &str, threshold: f64) -> usize {
-    let old = parse_report(prev);
-    let new = parse_report(current);
+fn compare_reports(old: &Report, new: &Report, threshold: f64) -> usize {
     if old.scale != new.scale {
         eprintln!(
             "compare: skipping (previous report is \"{}\" scale, current is \"{}\")",
@@ -541,50 +463,49 @@ fn compare_reports(prev: &str, current: &str, threshold: f64) -> usize {
     regressions
 }
 
+fn usage_error(msg: &str) -> ! {
+    eprintln!(
+        "error: {msg}\nusage: speedcheck [--smoke] [--telemetry] [--jobs N] [--json OUT] \
+         [--compare PREV]\n       speedcheck --compare-only PREV NEW"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
+    let (mut smoke, mut telemetry, mut jobs) = (false, false, 1usize);
+    let mut json_path = "BENCH_speedcheck.json".to_string();
+    let (mut compare_path, mut compare_only) = (None, None);
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let telemetry = args.iter().any(|a| a == "--telemetry");
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--jobs: positive integer"))
-        .unwrap_or(1);
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_speedcheck.json".to_string());
-    let compare_path = args
-        .iter()
-        .position(|a| a == "--compare")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || match it.next() {
+            Some(v) if !v.starts_with("--") => v.clone(),
+            _ => usage_error(&format!("{flag} needs a value")),
+        };
+        match flag.as_str() {
+            "--smoke" => smoke = true,
+            "--telemetry" => telemetry = true,
+            "--jobs" => {
+                let v = value();
+                jobs = v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--jobs: expected a count, got {v:?}"))
+                });
+            }
+            "--json" => json_path = value(),
+            "--compare" => compare_path = Some(value()),
+            "--compare-only" => compare_only = Some((value(), value())),
+            other => usage_error(&format!("unknown argument {other:?}")),
+        }
+    }
 
     // `--compare-only prev.json new.json` gates two existing reports
     // against each other without running any simulation (CI keeps the
     // gate a separate, individually skippable step this way).
-    if let Some(i) = args.iter().position(|a| a == "--compare-only") {
-        let (Some(prev_path), Some(new_path)) = (args.get(i + 1), args.get(i + 2)) else {
-            eprintln!("usage: speedcheck --compare-only <prev.json> <new.json>");
-            std::process::exit(2);
-        };
-        let read = |p: &String| {
-            std::fs::read_to_string(p).map_err(|e| eprintln!("compare: skipping ({p}: {e})"))
-        };
-        // A missing previous report is not an error: the first run
-        // after the gate lands (or an expired artifact) has nothing to
-        // compare against. A missing *new* report is.
-        let Ok(new) = std::fs::read_to_string(new_path) else {
-            eprintln!("compare: cannot read current report {new_path}");
-            std::process::exit(2);
-        };
-        match read(prev_path) {
-            Ok(prev) if compare_reports(&prev, &new, 0.20) > 0 => std::process::exit(1),
-            _ => std::process::exit(0),
-        }
+    if let Some((prev_path, new_path)) = compare_only {
+        let current = load_report(&new_path, false).expect("only a previous report may be missing");
+        let regressed =
+            load_report(&prev_path, true).map_or(0, |old| compare_reports(&old, &current, 0.20));
+        std::process::exit(i32::from(regressed > 0));
     }
 
     let (scale, scale_label) = if smoke {
@@ -851,21 +772,93 @@ fn main() {
         );
         ok = false;
     }
-    if let Some(prev_path) = compare_path {
-        match std::fs::read_to_string(&prev_path) {
-            Ok(prev) => {
-                if compare_reports(&prev, &json, 0.20) > 0 {
-                    ok = false;
-                }
-            }
-            // A missing previous report is not an error: the first run
-            // after the gate lands (or an expired artifact) has nothing
-            // to compare against.
-            Err(e) => eprintln!("compare: skipping ({prev_path}: {e})"),
+    if let Some(old) = compare_path.and_then(|p| load_report(&p, true)) {
+        let current = parse_report(&json).expect("speedcheck parses its own report");
+        if compare_reports(&old, &current, 0.20) > 0 {
+            ok = false;
         }
     }
     if !ok {
         eprintln!("speedcheck: validation, fast-forward or regression gate failed");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMITTED: &str = include_str!("../../../../BENCH_speedcheck.json");
+
+    #[test]
+    fn committed_report_parses_to_every_cell() {
+        let r = parse_report(COMMITTED).unwrap();
+        assert_eq!(r.scale, "small");
+        assert_eq!(r.cells.len(), 32, "2 workloads x 2 paths x 8 modes");
+        assert!(r
+            .cells
+            .iter()
+            .all(|c| c.accesses_per_s > 0.0 && c.fast_forward.is_some()));
+    }
+
+    #[test]
+    fn malformed_reports_are_errors_naming_the_problem() {
+        assert!(parse_report("not a speedcheck report\n").is_err());
+        let err = parse_report(&COMMITTED[..2000]).err().unwrap();
+        assert!(err.starts_with("byte 2000: "), "{err}");
+        let err = parse_report("{\"scale\": \"small\"}").err().unwrap();
+        assert_eq!(err, "missing array \"workloads\"");
+        let err = parse_report("{\"workloads\": []}").err().unwrap();
+        assert_eq!(err, "missing key \"scale\"");
+    }
+
+    #[test]
+    fn rendered_report_parses_back_for_the_gate() {
+        let cycle = CycleRow {
+            mode: PrefetchMode::Manual,
+            cycles: 1000,
+            host_iters: 10,
+            wall_s: 0.5,
+            accesses_per_s: 2.0e6,
+            validated: true,
+            visits: VisitCounts::default(),
+            late_pf_merges: 3,
+            lifecycle: Some(LifecycleCounts::default()),
+        };
+        let replay = ReplayRow {
+            mode: PrefetchMode::Manual,
+            cycles: 900,
+            host_iters: 9,
+            dep_stalls: 1,
+            wall_s: 0.1,
+            accesses_per_s: 1.0e7,
+            host_speedup: Some(5.0),
+            cycle_agreement: None,
+            validated: true,
+        };
+        let report = WorkloadReport {
+            name: "IntSort",
+            trace_accesses: 1_000_000,
+            cycle: vec![cycle],
+            replay: vec![replay],
+        };
+        let pass = || SweepPass {
+            hit: 1,
+            miss: 0,
+            escalated: 0,
+            wall_s: 0.01,
+        };
+        let sweep = SweepStanza {
+            cells: 1,
+            cold: pass(),
+            warm: pass(),
+        };
+        let json = render_json("tiny", 2, &[PrefetchMode::Manual], &[report], &sweep);
+        let parsed = parse_report(&json).unwrap();
+        assert_eq!(parsed.scale, "tiny");
+        let keys: Vec<_> = parsed.cells.iter().map(|c| c.key.1.as_str()).collect();
+        assert_eq!(keys, ["cycle", "replay"]);
+        assert_eq!(parsed.cells[1].fast_forward, Some(100.0));
+        assert_eq!(compare_reports(&parsed, &parsed, 0.20), 0);
     }
 }

@@ -24,6 +24,7 @@
 
 use crate::watchdog::{Cancelled, LivelockAbort, BUDGET_ESCALATION};
 use etpp_mem::cancel::{CancelReason, CancelToken};
+use etpp_telemetry::{json::Value, obj};
 use etpp_trace::format::{fnv1a, FNV_OFFSET};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -518,27 +519,63 @@ pub struct FailureRecord {
     pub error: String,
 }
 
+impl FailureRecord {
+    /// The record as a JSON object: the one failure codec behind
+    /// `failures.json` and the shard files' `failures` section.
+    pub(crate) fn to_json(&self) -> Value {
+        let head = obj! {
+            "index": self.index, "workload": self.workload.as_str(), "mode": self.mode.as_str(),
+            "settings": self.settings.as_str(),
+            "config_hash": format!("{:016x}", self.config_hash),
+        };
+        head.concat(self.cause_json())
+    }
+
+    /// Inverse of [`FailureRecord::to_json`]; errors name the member.
+    pub(crate) fn from_json(v: &Value) -> Result<FailureRecord, String> {
+        let hash: String = v.field("config_hash")?;
+        let cause = JobFailure::from_json(v, 0)?.ok_or("missing key \"error\"")?;
+        Ok(FailureRecord {
+            index: v.field("index")?,
+            workload: v.field("workload")?,
+            mode: v.field("mode")?,
+            settings: v.field("settings")?,
+            config_hash: u64::from_str_radix(&hash, 16)
+                .map_err(|_| format!("key \"config_hash\": not hex: {hash:?}"))?,
+            class: cause.class,
+            attempts: cause.attempts,
+            error: cause.error,
+        })
+    }
+
+    /// The `class`/`attempts`/`error` members — also the tail a journal
+    /// entry carries when it records a quarantine.
+    pub(crate) fn cause_json(&self) -> Value {
+        obj! { "class": self.class.key(), "attempts": self.attempts, "error": self.error.as_str() }
+    }
+}
+
+impl JobFailure {
+    /// Decodes [`FailureRecord::cause_json`]'s members (`None` without an
+    /// `error`); a pre-class record's absent `class` decodes as a panic.
+    pub(crate) fn from_json(v: &Value, index: usize) -> Result<Option<JobFailure>, String> {
+        let Some(error) = v.field::<Option<String>>("error")? else {
+            return Ok(None);
+        };
+        let class: Option<String> = v.field("class")?;
+        Ok(Some(JobFailure {
+            index,
+            attempts: v.field("attempts")?,
+            class: FailureClass::from_key(class.as_deref().unwrap_or_default()),
+            error,
+        }))
+    }
+}
+
 /// Renders failure records as a JSON array, one record per line.
 pub fn failures_json(records: &[FailureRecord]) -> String {
-    let mut j = String::from("[\n");
-    for (i, f) in records.iter().enumerate() {
-        j.push_str(&format!(
-            "  {{\"index\": {}, \"workload\": \"{}\", \"mode\": \"{}\", \"settings\": \"{}\", \
-             \"config_hash\": \"{:016x}\", \"class\": \"{}\", \"attempts\": {}, \
-             \"error\": \"{}\"}}{}\n",
-            f.index.map_or("null".to_string(), |i| i.to_string()),
-            f.workload,
-            f.mode,
-            f.settings,
-            f.config_hash,
-            f.class.key(),
-            f.attempts,
-            etpp_telemetry::json_escape(&f.error),
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    j.push_str("]\n");
-    j
+    let rows = records.iter().map(FailureRecord::to_json);
+    rows.collect::<Value>().to_pretty(1)
 }
 
 /// Writes `failures.json` atomically (tmp + rename). An empty record

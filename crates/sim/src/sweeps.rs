@@ -37,14 +37,15 @@
 use crate::config::{PrefetchMode, SystemConfig};
 use crate::experiments::{map_indexed, shard_indices};
 use crate::faults::{
-    run_isolated, run_isolated_budgeted, FailureClass, FailureRecord, FaultPlan, Journal,
-    RetryPolicy,
+    run_isolated, run_isolated_budgeted, FailureClass, FailureRecord, FaultPlan, JobFailure,
+    Journal, RetryPolicy,
 };
 use crate::replay::{replay_params, replay_run_watched, KeyedCapture};
 use crate::system::{run, run_watched};
 use crate::watchdog::Watchdog;
 use etpp_mem::cancel::CancelToken;
-use etpp_telemetry::{json_escape, Registry};
+use etpp_telemetry::json::{self, Value};
+use etpp_telemetry::{obj, Registry};
 use etpp_trace::format::{fnv1a, FNV_OFFSET};
 use etpp_workloads::BuiltWorkload;
 use std::collections::{BTreeMap, HashMap};
@@ -366,32 +367,38 @@ struct CellData {
 /// drift, stray file) is corrupt by definition.
 const CELL_MAGIC: &str = "etpp-sweep-cell";
 
+impl CellData {
+    /// The members cache records, journal cell entries and shard cell
+    /// rows share.
+    fn to_json(self) -> Value {
+        obj! {
+            "path": self.path.as_str(), "cycles": self.cycles, "host_iters": self.host_iters,
+            "dep_stalls": self.dep_stalls, "validated": self.validated,
+        }
+    }
+
+    fn from_json(v: &Value) -> Result<CellData, String> {
+        let path: String = v.field("path")?;
+        Ok(CellData {
+            path: CellPath::from_str(&path).ok_or_else(|| format!("unknown cell path {path:?}"))?,
+            cycles: v.field("cycles")?,
+            host_iters: v.field("host_iters")?,
+            dep_stalls: v.field("dep_stalls")?,
+            validated: v.field("validated")?,
+        })
+    }
+}
+
 fn cell_data_json(d: &CellData) -> String {
-    format!(
-        "{{\"magic\": \"{CELL_MAGIC}\", \"schema\": {SWEEP_SCHEMA_VERSION}, \"path\": \"{}\", \
-         \"cycles\": {}, \"host_iters\": {}, \"dep_stalls\": {}, \"validated\": {}}}\n",
-        d.path.as_str(),
-        d.cycles,
-        d.host_iters,
-        d.dep_stalls,
-        d.validated
-    )
+    let head = obj! { "magic": CELL_MAGIC, "schema": SWEEP_SCHEMA_VERSION };
+    head.concat(d.to_json()).to_compact() + "\n"
 }
 
 fn parse_cell_data(json: &str) -> Option<CellData> {
-    if field_str(json, "magic")? != CELL_MAGIC {
-        return None;
-    }
-    if field_num(json, "schema")? as u32 != SWEEP_SCHEMA_VERSION {
-        return None;
-    }
-    Some(CellData {
-        path: CellPath::from_str(&field_str(json, "path")?)?,
-        cycles: field_num(json, "cycles")? as u64,
-        host_iters: field_num(json, "host_iters")? as u64,
-        dep_stalls: field_num(json, "dep_stalls")? as u64,
-        validated: field_bool(json, "validated")?,
-    })
+    let v = json::parse(json).ok()?;
+    let current = v.field("magic") == Ok(CELL_MAGIC.to_string())
+        && v.field("schema") == Ok(SWEEP_SCHEMA_VERSION);
+    current.then(|| CellData::from_json(&v).ok())?
 }
 
 /// The full on-disk cache record: the JSON body plus a self-integrity
@@ -507,10 +514,11 @@ impl SweepOptions {
 
 /// Per-workload baseline: the replay-first no-prefetch run the
 /// agreement gate judges, and the denominator every cell speedup uses.
-#[derive(Debug, Clone)]
+/// Also what a shard file's `baselines` rows parse back into.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadBaseline {
     /// Benchmark name.
-    pub workload: &'static str,
+    pub workload: String,
     /// Baseline (no-prefetch, base-config) cycles on the path the gate
     /// chose — replay cycles normally, cycle-core cycles if the
     /// baseline replay itself broke.
@@ -551,6 +559,44 @@ pub struct CellResult {
     pub speedup: Option<f64>,
     /// Served from the result cache.
     pub cached: bool,
+}
+
+impl WorkloadBaseline {
+    /// The members shard files and journal entries share, with the
+    /// agreement under `key` in the caller's encoding (fixed 4 digits in
+    /// shard files, bit-exact hex in the journal).
+    fn to_json(&self, key: &str, agreement: Value) -> Value {
+        obj! {
+            "workload": self.workload.as_str(), "replay_cycles": self.replay_cycles,
+            "capture_cycles": self.capture_cycles, key: agreement, "escalate": self.escalate,
+            "reference_cycles": self.reference_cycles,
+        }
+    }
+
+    /// Inverse of [`WorkloadBaseline::to_json`], given the agreement
+    /// the caller decoded.
+    fn from_json(v: &Value, agreement: Option<f64>) -> Result<WorkloadBaseline, String> {
+        Ok(WorkloadBaseline {
+            workload: v.field("workload")?,
+            replay_cycles: v.field("replay_cycles")?,
+            capture_cycles: v.field("capture_cycles")?,
+            agreement,
+            escalate: v.field("escalate")?,
+            reference_cycles: v.field("reference_cycles")?,
+        })
+    }
+}
+
+impl CellResult {
+    fn data(&self) -> CellData {
+        CellData {
+            path: self.path,
+            cycles: self.cycles,
+            host_iters: self.host_iters,
+            dep_stalls: self.dep_stalls,
+            validated: self.validated,
+        }
+    }
 }
 
 /// The output of one sweep shard: its cells, the baselines behind
@@ -812,122 +858,59 @@ fn journal_header(
         .iter()
         .map(|c| format!("{:016x}", c.content_hash))
         .collect();
-    format!(
-        "{{\"kind\": \"header\", \"schema\": {SWEEP_SCHEMA_VERSION}, \"sweep\": \"{}\", \
-         \"scale\": \"{}\", \"trace_format\": {trace_format}, \"shard\": {}, \"of\": {}, \
-         \"total_jobs\": {total}, \"gate_bits\": \"{:016x}\", \"traces\": \"{}\"}}",
-        spec.name,
-        opts.scale_label,
-        opts.shard.0,
-        opts.shard.1,
-        opts.gate.to_bits(),
-        hashes.join(",")
-    )
+    obj! {
+        "kind": "header", "schema": SWEEP_SCHEMA_VERSION, "sweep": spec.name,
+        "scale": opts.scale_label.as_str(), "trace_format": trace_format,
+        "shard": opts.shard.0, "of": opts.shard.1, "total_jobs": total,
+        "gate_bits": format!("{:016x}", opts.gate.to_bits()), "traces": hashes.join(","),
+    }
+    .to_compact()
 }
 
-/// Appends `, "class": "...", "attempts": N, "error": "..."` when the
-/// entry records a quarantine, so resume reconstructs the failure too.
-fn failure_suffix(failure: Option<&FailureRecord>) -> String {
-    failure.map_or(String::new(), |f| {
-        format!(
-            ", \"class\": \"{}\", \"attempts\": {}, \"error\": \"{}\"",
-            f.class.key(),
-            f.attempts,
-            json_escape(&f.error)
-        )
-    })
+/// One journal line: `entry`, plus the quarantine's cause when it
+/// records one, so resume reconstructs the failure too.
+fn journal_entry(entry: Value, failure: Option<&FailureRecord>) -> String {
+    match failure {
+        Some(f) => entry.concat(f.cause_json()),
+        None => entry,
+    }
+    .to_compact()
 }
 
 fn journal_baseline_entry(b: &WorkloadBaseline, failure: Option<&FailureRecord>) -> String {
-    format!(
-        "{{\"kind\": \"baseline\", \"workload\": \"{}\", \"replay_cycles\": {}, \
-         \"capture_cycles\": {}, \"agreement_bits\": \"{}\", \"escalate\": {}, \
-         \"reference_cycles\": {}{}}}",
-        b.workload,
-        b.replay_cycles,
-        b.capture_cycles,
-        b.agreement
-            .map_or("none".to_string(), |a| format!("{:016x}", a.to_bits())),
-        b.escalate,
-        b.reference_cycles,
-        failure_suffix(failure)
-    )
+    let bits = b
+        .agreement
+        .map_or("none".to_string(), |a| format!("{:016x}", a.to_bits()));
+    let entry = obj! { "kind": "baseline" }.concat(b.to_json("agreement_bits", bits.into()));
+    journal_entry(entry, failure)
 }
 
 fn journal_cell_entry(c: &CellResult, failure: Option<&FailureRecord>) -> String {
-    format!(
-        "{{\"kind\": \"cell\", \"index\": {}, \"path\": \"{}\", \"cycles\": {}, \
-         \"host_iters\": {}, \"dep_stalls\": {}, \"validated\": {}{}}}",
-        c.index,
-        c.path.as_str(),
-        c.cycles,
-        c.host_iters,
-        c.dep_stalls,
-        c.validated,
-        failure_suffix(failure)
-    )
+    let entry = obj! { "kind": "cell", "index": c.index }.concat(c.data().to_json());
+    journal_entry(entry, failure)
 }
 
-/// A baseline reconstructed from the journal (agreement is bit-exact —
-/// `f64::to_bits` hex — so resumed merges stay byte-identical).
-struct JournalBaseline {
-    replay_cycles: u64,
-    capture_cycles: u64,
-    agreement: Option<f64>,
-    escalate: bool,
-    reference_cycles: u64,
-    class: FailureClass,
-    attempts: Option<u32>,
-    error: Option<String>,
-}
-
-fn parse_journal_baseline(line: &str) -> Option<(String, JournalBaseline)> {
-    let bits = field_str(line, "agreement_bits")?;
-    Some((
-        field_str(line, "workload")?,
-        JournalBaseline {
-            replay_cycles: field_num(line, "replay_cycles")? as u64,
-            capture_cycles: field_num(line, "capture_cycles")? as u64,
-            agreement: if bits == "none" {
-                None
-            } else {
-                Some(f64::from_bits(u64::from_str_radix(&bits, 16).ok()?))
-            },
-            escalate: field_bool(line, "escalate")?,
-            reference_cycles: field_num(line, "reference_cycles")? as u64,
-            class: FailureClass::from_key(&field_str(line, "class").unwrap_or_default()),
-            attempts: field_num(line, "attempts").map(|v| v as u32),
-            error: field_str(line, "error"),
-        },
+/// A baseline resumed from its journal entry — agreement bit-exact
+/// (`f64::to_bits` hex) so resumed merges stay byte-identical — with
+/// the quarantine it recorded, if any.
+fn resumed_baseline(v: &Value) -> Result<(WorkloadBaseline, Option<JobFailure>), String> {
+    let bits: String = v.field("agreement_bits")?;
+    let agreement = match bits.as_str() {
+        "none" => None,
+        hex => Some(f64::from_bits(
+            u64::from_str_radix(hex, 16).map_err(|_| format!("bad agreement_bits {hex:?}"))?,
+        )),
+    };
+    Ok((
+        WorkloadBaseline::from_json(v, agreement)?,
+        JobFailure::from_json(v, 0)?,
     ))
 }
 
-/// A completed cell reconstructed from the journal.
-struct JournalCell {
-    path: CellPath,
-    cycles: u64,
-    host_iters: u64,
-    dep_stalls: u64,
-    validated: bool,
-    class: FailureClass,
-    attempts: Option<u32>,
-    error: Option<String>,
-}
-
-fn parse_journal_cell(line: &str) -> Option<(usize, JournalCell)> {
-    Some((
-        field_num(line, "index")? as usize,
-        JournalCell {
-            path: CellPath::from_str(&field_str(line, "path")?)?,
-            cycles: field_num(line, "cycles")? as u64,
-            host_iters: field_num(line, "host_iters")? as u64,
-            dep_stalls: field_num(line, "dep_stalls")? as u64,
-            validated: field_bool(line, "validated")?,
-            class: FailureClass::from_key(&field_str(line, "class").unwrap_or_default()),
-            attempts: field_num(line, "attempts").map(|v| v as u32),
-            error: field_str(line, "error"),
-        },
-    ))
+/// A completed cell resumed from its journal entry, with the
+/// quarantine it recorded, if any.
+fn resumed_cell(v: &Value, index: usize) -> Result<(CellData, Option<JobFailure>), String> {
+    Ok((CellData::from_json(v)?, JobFailure::from_json(v, index)?))
 }
 
 /// Runs one shard of `spec` over `workloads` (with `captures[i]` the
@@ -976,22 +959,22 @@ pub fn run_sweep(
 
     // Checkpoint–resume: open (or start) the progress journal and
     // index whatever completed entries survive its integrity checks.
-    let mut resumed_cells: HashMap<usize, JournalCell> = HashMap::new();
-    let mut resumed_baselines: HashMap<String, JournalBaseline> = HashMap::new();
+    let mut resumed_cells: HashMap<usize, Value> = HashMap::new();
+    let mut resumed_baselines: HashMap<String, Value> = HashMap::new();
     let journal: Option<Mutex<Journal>> = opts.journal.as_ref().and_then(|path| {
         let header = journal_header(spec, opts, trace_format, total, captures);
         let opened = if opts.resume {
             Journal::resume(path, &header).map(|(j, entries)| {
-                for e in &entries {
-                    match field_str(e, "kind").as_deref() {
-                        Some("cell") => {
-                            if let Some((idx, jc)) = parse_journal_cell(e) {
-                                resumed_cells.insert(idx, jc);
+                for v in entries.iter().filter_map(|e| json::parse(e).ok()) {
+                    match v.field::<String>("kind").as_deref() {
+                        Ok("cell") => {
+                            if let Ok(index) = v.field("index") {
+                                resumed_cells.insert(index, v);
                             }
                         }
-                        Some("baseline") => {
-                            if let Some((wl, jb)) = parse_journal_baseline(e) {
-                                resumed_baselines.insert(wl, jb);
+                        Ok("baseline") => {
+                            if let Ok(workload) = v.field("workload") {
+                                resumed_baselines.insert(workload, v);
                             }
                         }
                         _ => {}
@@ -1043,29 +1026,20 @@ pub fn run_sweep(
             let wi = used[ui];
             let (wl, cap) = (&workloads[wi], &captures[wi]);
             let capture_cycles = cap.trace.meta.capture_cycles;
-            if let Some(jb) = resumed_baselines.get(wl.name) {
+            let baseline_failure = |fail: JobFailure| FailureRecord {
+                index: None,
+                workload: wl.name.to_string(),
+                mode: "baseline".to_string(),
+                settings: "-".to_string(),
+                config_hash: cell_config_hash(&spec.base, PrefetchMode::None, false),
+                class: fail.class,
+                attempts: fail.attempts,
+                error: fail.error,
+            };
+            let resumed = resumed_baselines.get(wl.name);
+            if let Some(Ok((b, fail))) = resumed.map(resumed_baseline) {
                 counters.journal_hits.fetch_add(1, Ordering::Relaxed);
-                let failure = jb.error.clone().map(|error| FailureRecord {
-                    index: None,
-                    workload: wl.name.to_string(),
-                    mode: "baseline".to_string(),
-                    settings: "-".to_string(),
-                    config_hash: cell_config_hash(&spec.base, PrefetchMode::None, false),
-                    class: jb.class,
-                    attempts: jb.attempts.unwrap_or(0),
-                    error,
-                });
-                return (
-                    WorkloadBaseline {
-                        workload: wl.name,
-                        replay_cycles: jb.replay_cycles,
-                        capture_cycles: jb.capture_cycles,
-                        agreement: jb.agreement,
-                        escalate: jb.escalate,
-                        reference_cycles: jb.reference_cycles,
-                    },
-                    failure,
-                );
+                return (b, fail.map(baseline_failure));
             }
             let wall_start = Instant::now();
             let computed = run_isolated(&opts.retry, wi, &counters.retries, |attempt| {
@@ -1123,7 +1097,7 @@ pub fn run_sweep(
                     .cycles
                 };
                 WorkloadBaseline {
-                    workload: wl.name,
+                    workload: wl.name.to_string(),
                     replay_cycles: base.cycles,
                     capture_cycles,
                     agreement,
@@ -1146,23 +1120,14 @@ pub fn run_sweep(
                     // core with the capture run as denominator.
                     counters.quarantined.fetch_add(1, Ordering::Relaxed);
                     let b = WorkloadBaseline {
-                        workload: wl.name,
+                        workload: wl.name.to_string(),
                         replay_cycles: 0,
                         capture_cycles,
                         agreement: None,
                         escalate: true,
                         reference_cycles: capture_cycles,
                     };
-                    let rec = FailureRecord {
-                        index: None,
-                        workload: wl.name.to_string(),
-                        mode: "baseline".to_string(),
-                        settings: "-".to_string(),
-                        config_hash: cell_config_hash(&spec.base, PrefetchMode::None, false),
-                        class: fail.class,
-                        attempts: fail.attempts,
-                        error: fail.error,
-                    };
+                    let rec = baseline_failure(fail);
                     eprintln!(
                         "[sweep] baseline for {} quarantined after {} attempts ({}); \
                          its cells escalate to the cycle core",
@@ -1199,77 +1164,66 @@ pub fn run_sweep(
             let cfg = spec.config_for(&value_idx);
             let settings = spec.settings_for(&value_idx);
             let (wl, cap) = (&workloads[wi], &captures[wi]);
-            let failed_cell =
-                |attempts: u32, class: FailureClass, error: String, escalate: bool| {
-                    (
-                        CellResult {
-                            index: job,
-                            workload: wl.name,
-                            mode,
-                            settings: settings.clone(),
-                            path: CellPath::Failed,
-                            cycles: 0,
-                            host_iters: 0,
-                            dep_stalls: 0,
-                            validated: false,
-                            speedup: None,
-                            cached: false,
-                        },
-                        Some(FailureRecord {
-                            index: Some(job),
-                            workload: wl.name.to_string(),
-                            mode: mode.key().to_string(),
-                            settings: settings_string(&settings),
-                            config_hash: cell_config_hash(&cfg, mode, escalate),
-                            class,
-                            attempts,
-                            error,
-                        }),
-                    )
-                };
+            let failed_cell = |fail: JobFailure, escalate: bool| {
+                (
+                    CellResult {
+                        index: job,
+                        workload: wl.name,
+                        mode,
+                        settings: settings.clone(),
+                        path: CellPath::Failed,
+                        cycles: 0,
+                        host_iters: 0,
+                        dep_stalls: 0,
+                        validated: false,
+                        speedup: None,
+                        cached: false,
+                    },
+                    Some(FailureRecord {
+                        index: Some(job),
+                        workload: wl.name.to_string(),
+                        mode: mode.key().to_string(),
+                        settings: settings_string(&settings),
+                        config_hash: cell_config_hash(&cfg, mode, escalate),
+                        class: fail.class,
+                        attempts: fail.attempts,
+                        error: fail.error,
+                    }),
+                )
+            };
             let Some(bl) = baselines[wi] else {
                 // Structured replacement for the old "baseline computed
                 // for every used workload" panic: an internally missing
                 // baseline quarantines this one cell, not the shard.
                 counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                return failed_cell(
-                    0,
-                    FailureClass::Panic,
-                    format!("internal: no baseline for workload {}", wl.name),
-                    false,
-                );
+                let fail = JobFailure {
+                    index: job,
+                    attempts: 0,
+                    class: FailureClass::Panic,
+                    error: format!("internal: no baseline for workload {}", wl.name),
+                };
+                return failed_cell(fail, false);
             };
-            if let Some(jc) = resumed_cells.get(&job) {
+            let completed_cell = |d: CellData, cached: bool| CellResult {
+                index: job,
+                workload: wl.name,
+                mode,
+                settings: settings.clone(),
+                path: d.path,
+                cycles: d.cycles,
+                host_iters: d.host_iters,
+                dep_stalls: d.dep_stalls,
+                validated: d.validated,
+                speedup: (d.path != CellPath::Skip && bl.reference_cycles > 0)
+                    .then(|| bl.reference_cycles as f64 / d.cycles.max(1) as f64),
+                cached,
+            };
+            if let Some(Ok((d, fail))) = resumed_cells.get(&job).map(|v| resumed_cell(v, job)) {
                 counters.journal_hits.fetch_add(1, Ordering::Relaxed);
-                let speedup = (!matches!(jc.path, CellPath::Skip | CellPath::Failed)
-                    && bl.reference_cycles > 0)
-                    .then(|| bl.reference_cycles as f64 / jc.cycles.max(1) as f64);
-                let failure = jc.error.clone().map(|error| FailureRecord {
-                    index: Some(job),
-                    workload: wl.name.to_string(),
-                    mode: mode.key().to_string(),
-                    settings: settings_string(&settings),
-                    config_hash: cell_config_hash(&cfg, mode, bl.escalate),
-                    class: jc.class,
-                    attempts: jc.attempts.unwrap_or(0),
-                    error,
-                });
-                return (
-                    CellResult {
-                        index: job,
-                        workload: wl.name,
-                        mode,
-                        settings,
-                        path: jc.path,
-                        cycles: jc.cycles,
-                        host_iters: jc.host_iters,
-                        dep_stalls: jc.dep_stalls,
-                        validated: jc.validated,
-                        speedup,
-                        cached: false,
-                    },
-                    failure,
-                );
+                return match fail {
+                    Some(fail) => failed_cell(fail, bl.escalate),
+                    None => (completed_cell(d, false), None),
+                };
             }
             let outcome = run_isolated_budgeted(
                 &opts.retry,
@@ -1298,20 +1252,7 @@ pub fn run_sweep(
             );
             let result = match outcome {
                 Ok((d, hit)) => {
-                    let cr = CellResult {
-                        index: job,
-                        workload: wl.name,
-                        mode,
-                        settings,
-                        path: d.path,
-                        cycles: d.cycles,
-                        host_iters: d.host_iters,
-                        dep_stalls: d.dep_stalls,
-                        validated: d.validated,
-                        speedup: (d.path != CellPath::Skip && bl.reference_cycles > 0)
-                            .then(|| bl.reference_cycles as f64 / d.cycles.max(1) as f64),
-                        cached: hit,
-                    };
+                    let cr = completed_cell(d, hit);
                     append(journal_cell_entry(&cr, None));
                     (cr, None)
                 }
@@ -1329,7 +1270,7 @@ pub fn run_sweep(
                         // `sweep.quarantined` alone.
                         FailureClass::Livelock | FailureClass::Panic => {}
                     }
-                    let (cr, rec) = failed_cell(fail.attempts, fail.class, fail.error, bl.escalate);
+                    let (cr, rec) = failed_cell(fail, bl.escalate);
                     append(journal_cell_entry(&cr, rec.as_ref()));
                     (cr, rec)
                 }
@@ -1356,30 +1297,20 @@ pub fn run_sweep(
     });
 
     let mut registry = Registry::new();
-    registry.set_counter("sweep.cache.hit", counters.hits.load(Ordering::Relaxed));
-    registry.set_counter("sweep.cache.miss", counters.misses.load(Ordering::Relaxed));
-    registry.set_counter(
-        "sweep.cache.escalated",
-        counters.escalated.load(Ordering::Relaxed),
-    );
-    registry.set_counter(
-        "sweep.cache.corrupt_evicted",
-        counters.corrupt_evicted.load(Ordering::Relaxed),
-    );
-    registry.set_counter("sweep.retry", counters.retries.load(Ordering::Relaxed));
-    registry.set_counter(
-        "sweep.quarantined",
-        counters.quarantined.load(Ordering::Relaxed),
-    );
-    registry.set_counter(
-        "sweep.journal.hit",
-        counters.journal_hits.load(Ordering::Relaxed),
-    );
-    registry.set_counter("sweep.timeout", counters.timeouts.load(Ordering::Relaxed));
-    registry.set_counter(
-        "sweep.cancelled",
-        counters.cancelled.load(Ordering::Relaxed),
-    );
+    let c = &counters;
+    for (name, n) in [
+        ("sweep.cache.hit", &c.hits),
+        ("sweep.cache.miss", &c.misses),
+        ("sweep.cache.escalated", &c.escalated),
+        ("sweep.cache.corrupt_evicted", &c.corrupt_evicted),
+        ("sweep.retry", &c.retries),
+        ("sweep.quarantined", &c.quarantined),
+        ("sweep.journal.hit", &c.journal_hits),
+        ("sweep.timeout", &c.timeouts),
+        ("sweep.cancelled", &c.cancelled),
+    ] {
+        registry.set_counter(name, n.load(Ordering::Relaxed));
+    }
     // Snapshot deltas, not process-wide absolutes: the statics outlive
     // this run and would otherwise report another sweep's errors.
     registry.set_counter(
@@ -1407,141 +1338,31 @@ pub fn run_sweep(
 // Shard files: serialisation, parsing, merging, rendering
 // ---------------------------------------------------------------------------
 
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map_or("null".to_string(), |x| format!("{x:.4}"))
-}
-
 impl ShardRun {
-    /// Serialises the shard for cross-process merging. One cell per
-    /// line (the parser is line-oriented, like the speedcheck report).
+    /// Serialises the shard for cross-process merging: header members,
+    /// then one baseline, cell or failure per line.
     pub fn to_json(&self) -> String {
-        let mut j = String::new();
-        let _ = writeln!(j, "{{");
-        let _ = writeln!(j, "  \"schema\": {SWEEP_SCHEMA_VERSION},");
-        let _ = writeln!(j, "  \"sweep\": \"{}\",", self.sweep);
-        let _ = writeln!(j, "  \"scale\": \"{}\",", self.scale);
-        let _ = writeln!(j, "  \"trace_format\": {},", self.trace_format);
-        let _ = writeln!(j, "  \"shard\": {},", self.shard.0);
-        let _ = writeln!(j, "  \"of\": {},", self.shard.1);
-        let _ = writeln!(j, "  \"total_jobs\": {},", self.total_jobs);
-        j.push_str("  \"baselines\": [\n");
-        for (i, b) in self.baselines.iter().enumerate() {
-            let _ = write!(
-                j,
-                "    {{\"workload\": \"{}\", \"replay_cycles\": {}, \"capture_cycles\": {}, \
-                 \"agreement\": {}, \"escalate\": {}, \"reference_cycles\": {}}}",
-                b.workload,
-                b.replay_cycles,
-                b.capture_cycles,
-                fmt_opt(b.agreement),
-                b.escalate,
-                b.reference_cycles
-            );
-            j.push_str(if i + 1 < self.baselines.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+        let fixed4 = |x: Option<f64>| Value::from(x.map(|x| Value::fixed(x, 4)));
+        let baselines = self.baselines.iter();
+        let baselines = baselines.map(|b| b.to_json("agreement", fixed4(b.agreement)));
+        let cells = self.cells.iter().map(|c| {
+            let head = obj! {
+                "index": c.index, "workload": c.workload, "mode": c.mode.key(),
+                "settings": settings_string(&c.settings),
+            };
+            let cache = if c.cached { "hit" } else { "miss" };
+            let tail = obj! { "speedup": fixed4(c.speedup), "cache": cache };
+            head.concat(c.data().to_json()).concat(tail)
+        });
+        obj! {
+            "schema": SWEEP_SCHEMA_VERSION, "sweep": self.sweep, "scale": self.scale.as_str(),
+            "trace_format": self.trace_format, "shard": self.shard.0, "of": self.shard.1,
+            "total_jobs": self.total_jobs, "baselines": baselines.collect::<Value>(),
+            "cells": cells.collect::<Value>(),
+            "failures": self.failures.iter().map(FailureRecord::to_json).collect::<Value>(),
         }
-        j.push_str("  ],\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = write!(
-                j,
-                "    {{\"index\": {}, \"workload\": \"{}\", \"mode\": \"{}\", \
-                 \"settings\": \"{}\", \"path\": \"{}\", \"cycles\": {}, \
-                 \"host_iters\": {}, \"dep_stalls\": {}, \"validated\": {}, \
-                 \"speedup\": {}, \"cache\": \"{}\"}}",
-                c.index,
-                c.workload,
-                c.mode.key(),
-                settings_string(&c.settings),
-                c.path.as_str(),
-                c.cycles,
-                c.host_iters,
-                c.dep_stalls,
-                c.validated,
-                fmt_opt(c.speedup),
-                if c.cached { "hit" } else { "miss" }
-            );
-            j.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        j.push_str("  ],\n  \"failures\": [\n");
-        for (i, f) in self.failures.iter().enumerate() {
-            let _ = write!(
-                j,
-                "    {{\"index\": {}, \"workload\": \"{}\", \"mode\": \"{}\", \
-                 \"settings\": \"{}\", \"config_hash\": \"{:016x}\", \"class\": \"{}\", \
-                 \"attempts\": {}, \"error\": \"{}\"}}",
-                f.index.map_or("null".to_string(), |i| i.to_string()),
-                f.workload,
-                f.mode,
-                f.settings,
-                f.config_hash,
-                f.class.key(),
-                f.attempts,
-                json_escape(&f.error)
-            );
-            j.push_str(if i + 1 < self.failures.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        j.push_str("  ]\n}\n");
-        j
+        .to_pretty(2)
     }
-}
-
-/// Extracts `"key": <number>` from one line of sweep JSON.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": "<string>"` from one line of sweep JSON.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extracts `"key": true|false` from one line of sweep JSON.
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// A parsed shard-file baseline row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedBaseline {
-    /// Benchmark name.
-    pub workload: String,
-    /// Baseline cycles on the chosen path.
-    pub replay_cycles: u64,
-    /// Capture run's cycle count (0 = v1).
-    pub capture_cycles: u64,
-    /// Stream agreement (None without a reference).
-    pub agreement: Option<f64>,
-    /// Whether the workload escalated.
-    pub escalate: bool,
 }
 
 /// A parsed shard-file cell row.
@@ -1565,26 +1386,6 @@ pub struct ParsedCell {
     pub validated: bool,
 }
 
-/// A parsed shard-file quarantine row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedFailure {
-    /// Flat job index (`None` = a workload-baseline failure).
-    pub index: Option<usize>,
-    /// Benchmark name.
-    pub workload: String,
-    /// Mode key, or `"baseline"`.
-    pub mode: String,
-    /// Canonical settings string.
-    pub settings: String,
-    /// Classified cause (records written before classes existed parse
-    /// as [`FailureClass::Panic`]).
-    pub class: FailureClass,
-    /// Attempts consumed before quarantine.
-    pub attempts: u32,
-    /// Final panic message.
-    pub error: String,
-}
-
 /// A parsed shard file.
 #[derive(Debug)]
 pub struct ShardFile {
@@ -1601,11 +1402,11 @@ pub struct ShardFile {
     /// Full-sweep job count.
     pub total_jobs: usize,
     /// Baselines this shard recorded.
-    pub baselines: Vec<ParsedBaseline>,
+    pub baselines: Vec<WorkloadBaseline>,
     /// Cells this shard ran.
     pub cells: Vec<ParsedCell>,
     /// Jobs this shard quarantined.
-    pub failures: Vec<ParsedFailure>,
+    pub failures: Vec<FailureRecord>,
 }
 
 /// Parses one shard file written by [`ShardRun::to_json`].
@@ -1613,126 +1414,43 @@ pub struct ShardFile {
 /// # Errors
 /// A human-readable message naming the missing or malformed field.
 pub fn parse_shard(json: &str) -> Result<ShardFile, String> {
-    let mut sweep = None;
-    let mut scale = None;
-    let mut trace_format = None;
-    let mut shard = None;
-    let mut of = None;
-    let mut total_jobs = None;
-    let mut schema = None;
-    let mut baselines = Vec::new();
-    let mut cells = Vec::new();
-    let mut failures = Vec::new();
-    let mut section = "";
-    for line in json.lines() {
-        let t = line.trim_start();
-        if t.starts_with("\"baselines\": [") {
-            section = "baselines";
-        } else if t.starts_with("\"cells\": [") {
-            section = "cells";
-        } else if t.starts_with("\"failures\": [") {
-            section = "failures";
-        } else if section == "baselines" && t.starts_with('{') {
-            baselines.push(ParsedBaseline {
-                workload: field_str(line, "workload").ok_or("baseline missing workload")?,
-                replay_cycles: field_num(line, "replay_cycles")
-                    .ok_or("baseline missing replay_cycles")? as u64,
-                capture_cycles: field_num(line, "capture_cycles")
-                    .ok_or("baseline missing capture_cycles")?
-                    as u64,
-                agreement: field_num(line, "agreement"),
-                escalate: field_bool(line, "escalate").ok_or("baseline missing escalate")?,
-            });
-        } else if section == "cells" && t.starts_with('{') {
-            cells.push(ParsedCell {
-                index: field_num(line, "index").ok_or("cell missing index")? as usize,
-                workload: field_str(line, "workload").ok_or("cell missing workload")?,
-                mode: field_str(line, "mode").ok_or("cell missing mode")?,
-                settings: field_str(line, "settings").ok_or("cell missing settings")?,
-                path: field_str(line, "path").ok_or("cell missing path")?,
-                cycles: field_num(line, "cycles").ok_or("cell missing cycles")? as u64,
-                speedup: field_num(line, "speedup"),
-                validated: field_bool(line, "validated").ok_or("cell missing validated")?,
-            });
-        } else if section == "failures" && t.starts_with('{') {
-            failures.push(ParsedFailure {
-                index: field_num(line, "index").map(|v| v as usize),
-                workload: field_str(line, "workload").ok_or("failure missing workload")?,
-                mode: field_str(line, "mode").ok_or("failure missing mode")?,
-                settings: field_str(line, "settings").ok_or("failure missing settings")?,
-                class: FailureClass::from_key(&field_str(line, "class").unwrap_or_default()),
-                attempts: field_num(line, "attempts").ok_or("failure missing attempts")? as u32,
-                error: field_str(line, "error").unwrap_or_default(),
-            });
-        } else {
-            if let Some(v) = field_str(line, "sweep") {
-                sweep = Some(v);
-            }
-            if let Some(v) = field_str(line, "scale") {
-                scale = Some(v);
-            }
-            if let Some(v) = field_num(line, "trace_format") {
-                trace_format = Some(v as u16);
-            }
-            if let Some(v) = field_num(line, "schema") {
-                schema = Some(v as u32);
-            }
-            if let Some(v) = field_num(line, "shard") {
-                shard = Some(v as usize);
-            }
-            if let Some(v) = field_num(line, "of") {
-                of = Some(v as usize);
-            }
-            if let Some(v) = field_num(line, "total_jobs") {
-                total_jobs = Some(v as usize);
-            }
-        }
-    }
-    if schema != Some(SWEEP_SCHEMA_VERSION) {
+    let v = json::parse(json)?;
+    let schema: u32 = v.field("schema")?;
+    if schema != SWEEP_SCHEMA_VERSION {
         return Err(format!(
-            "shard schema {schema:?} != supported {SWEEP_SCHEMA_VERSION}"
+            "shard schema {schema} != supported {SWEEP_SCHEMA_VERSION}"
         ));
     }
     Ok(ShardFile {
-        sweep: sweep.ok_or("missing sweep name")?,
-        scale: scale.ok_or("missing scale")?,
-        trace_format: trace_format.ok_or("missing trace_format")?,
-        shard: shard.ok_or("missing shard index")?,
-        of: of.ok_or("missing shard count")?,
-        total_jobs: total_jobs.ok_or("missing total_jobs")?,
-        baselines,
-        cells,
-        failures,
+        sweep: v.field("sweep")?,
+        scale: v.field("scale")?,
+        trace_format: v.field("trace_format")?,
+        shard: v.field("shard")?,
+        of: v.field("of")?,
+        total_jobs: v.field("total_jobs")?,
+        baselines: v.array_of("baselines", |b| {
+            WorkloadBaseline::from_json(b, b.field("agreement")?)
+        })?,
+        cells: v.array_of("cells", |c| {
+            Ok(ParsedCell {
+                index: c.field("index")?,
+                workload: c.field("workload")?,
+                mode: c.field("mode")?,
+                settings: c.field("settings")?,
+                path: c.field("path")?,
+                cycles: c.field("cycles")?,
+                speedup: c.field("speedup")?,
+                validated: c.field("validated")?,
+            })
+        })?,
+        failures: v.array_of("failures", FailureRecord::from_json)?,
     })
 }
 
-/// A complete, coverage-checked sweep reassembled from shard files.
-#[derive(Debug)]
-pub struct MergedSweep {
-    /// Sweep name.
-    pub sweep: String,
-    /// Scale label.
-    pub scale: String,
-    /// Trace format.
-    pub trace_format: u16,
-    /// Number of shards merged.
-    pub shards: usize,
-    /// Baselines, deduped, sorted by workload name.
-    pub baselines: Vec<ParsedBaseline>,
-    /// All cells, ascending by flat index, exactly `0..total_jobs`.
-    pub cells: Vec<ParsedCell>,
-    /// Quarantined jobs across all shards, deduped, baseline failures
-    /// first then ascending by flat index.
-    pub failures: Vec<ParsedFailure>,
-}
-
-fn approx_eq(a: Option<f64>, b: Option<f64>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => format!("{x:.4}") == format!("{y:.4}"),
-        _ => false,
-    }
-}
+/// A complete, coverage-checked sweep: one shard (`0` of `1`) covering
+/// every job — cells ascending by flat index, baselines sorted by
+/// workload, quarantines deduped with baseline failures first.
+pub type MergedSweep = ShardFile;
 
 /// Merges a set of shard files into one coverage-checked sweep.
 ///
@@ -1810,14 +1528,12 @@ pub fn merge_shards(files: &[ShardFile]) -> Result<MergedSweep, String> {
 
     // Baselines: shards sharing a workload must agree exactly — a
     // mismatch means shards ran against different caches or configs.
-    let mut by_wl: BTreeMap<&str, &ParsedBaseline> = BTreeMap::new();
+    let mut by_wl: BTreeMap<&str, &WorkloadBaseline> = BTreeMap::new();
     for b in files.iter().flat_map(|f| &f.baselines) {
         if let Some(prev) = by_wl.get(b.workload.as_str()) {
-            let same = prev.replay_cycles == b.replay_cycles
-                && prev.capture_cycles == b.capture_cycles
-                && prev.escalate == b.escalate
-                && approx_eq(prev.agreement, b.agreement);
-            if !same {
+            // Agreements compare exactly: both sides parsed the same
+            // fixed-digit token.
+            if *prev != b {
                 return Err(format!(
                     "inconsistent baselines for {} across shards: {prev:?} vs {b:?}",
                     b.workload
@@ -1832,7 +1548,7 @@ pub fn merge_shards(files: &[ShardFile]) -> Result<MergedSweep, String> {
     // failures first — None sorts before Some — then by index), and
     // dedup exact repeats (a resumed shard reports the same quarantine
     // as its first run).
-    let mut failures: Vec<ParsedFailure> = files.iter().flat_map(|f| f.failures.clone()).collect();
+    let mut failures: Vec<FailureRecord> = files.iter().flat_map(|f| f.failures.clone()).collect();
     failures.sort_by(|a, b| {
         (a.index, &a.workload, &a.mode, &a.settings).cmp(&(
             b.index,
@@ -1843,11 +1559,13 @@ pub fn merge_shards(files: &[ShardFile]) -> Result<MergedSweep, String> {
     });
     failures.dedup();
 
-    Ok(MergedSweep {
+    Ok(ShardFile {
         sweep: first.sweep.clone(),
         scale: first.scale.clone(),
         trace_format: first.trace_format,
-        shards: files.len(),
+        shard: 0,
+        of: 1,
+        total_jobs: total,
         baselines: by_wl.into_values().cloned().collect(),
         cells: cells.into_iter().cloned().collect(),
         failures,
@@ -2033,15 +1751,29 @@ mod tests {
         assert_eq!(a, again);
     }
 
+    /// An error message with every character class the escaper
+    /// handles: quotes, a backslash, newlines and non-ASCII text.
+    const HOSTILE_ERROR: &str =
+        "assertion `left == right` failed\n  left: \"a\\b\"\n right: \"é→✓\"";
+
     #[test]
     fn cell_data_round_trips_through_cache_record() {
         let d = CellData {
             path: CellPath::Replay,
-            cycles: 123_456,
-            host_iters: 789,
-            dep_stalls: 42,
+            cycles: 6_963_085,
+            host_iters: 272_100,
+            dep_stalls: 18_250,
             validated: true,
         };
+        // Byte-for-byte what schema-2 writers have always produced, so
+        // existing caches keep hitting.
+        assert_eq!(
+            cell_record(&d),
+            "{\"magic\": \"etpp-sweep-cell\", \"schema\": 2, \"path\": \"replay\", \
+             \"cycles\": 6963085, \"host_iters\": 272100, \"dep_stalls\": 18250, \
+             \"validated\": true}\nfnv f9965209f556516d len 141\n"
+        );
+        assert_eq!(parse_cell_record(&cell_record(&d)), Some(d));
         assert_eq!(parse_cell_data(&cell_data_json(&d)), Some(d));
         // A schema bump orphans the record.
         let stale = cell_data_json(&d).replace(
@@ -2121,7 +1853,7 @@ mod tests {
             shard: (1, 4),
             total_jobs: 24,
             baselines: vec![WorkloadBaseline {
-                workload: "IntSort",
+                workload: "IntSort".into(),
                 replay_cycles: 1000,
                 capture_cycles: 1100,
                 agreement: Some(1000.0 / 1100.0),
@@ -2149,11 +1881,12 @@ mod tests {
                 config_hash: 0xabcd,
                 class: FailureClass::Timeout,
                 attempts: 3,
-                error: "injected \"panic\"".into(),
+                error: HOSTILE_ERROR.into(),
             }],
             registry: Registry::new(),
         };
         let f = parse_shard(&run.to_json()).unwrap();
+        assert_eq!(f.failures, run.failures, "failure rows round-trip exactly");
         assert_eq!(f.sweep, "probe");
         assert_eq!((f.shard, f.of, f.total_jobs), (1, 4, 24));
         assert_eq!(f.baselines.len(), 1);
@@ -2168,28 +1901,51 @@ mod tests {
         assert_eq!(f.failures[0].mode, "stride");
         assert_eq!(f.failures[0].class, FailureClass::Timeout);
         assert_eq!(f.failures[0].attempts, 3);
+        assert_eq!(f.failures[0].error, HOSTILE_ERROR);
+        // Truncated or trailing-garbage shard files are rejected, not
+        // half-read.
+        let json = run.to_json();
+        assert!(parse_shard(&json[..json.len() / 2]).is_err());
+        assert!(parse_shard(&format!("{json}}}")).is_err());
     }
 
     #[test]
     fn journal_entries_round_trip_bit_exact() {
+        // The header resume compares byte-for-byte against the journal.
+        let mut opts = SweepOptions::new(2, "tiny");
+        opts.shard = (1, 4);
+        assert_eq!(
+            journal_header(&probe_spec(), &opts, 2, 24, &[]),
+            "{\"kind\": \"header\", \"schema\": 2, \"sweep\": \"probe\", \"scale\": \"tiny\", \
+             \"trace_format\": 2, \"shard\": 1, \"of\": 4, \"total_jobs\": 24, \
+             \"gate_bits\": \"3fc3333333333333\", \"traces\": \"\"}"
+        );
+
         let b = WorkloadBaseline {
-            workload: "HJ-8",
+            workload: "HJ-8".into(),
             replay_cycles: 12345,
             capture_cycles: 13000,
             agreement: Some(12345.0 / 13000.0),
             escalate: false,
             reference_cycles: 12345,
         };
-        let (wl, jb) = parse_journal_baseline(&journal_baseline_entry(&b, None)).unwrap();
-        assert_eq!(wl, "HJ-8");
+        let line = journal_baseline_entry(&b, None);
+        assert_eq!(
+            line,
+            "{\"kind\": \"baseline\", \"workload\": \"HJ-8\", \"replay_cycles\": 12345, \
+             \"capture_cycles\": 13000, \"agreement_bits\": \"3fee633fcd967301\", \
+             \"escalate\": false, \"reference_cycles\": 12345}"
+        );
+        let (jb, fail) = resumed_baseline(&json::parse(&line).unwrap()).unwrap();
         assert_eq!(jb.replay_cycles, 12345);
+        assert_eq!(jb.reference_cycles, 12345);
         // Bit-exact, not approximate: resumed merges must stay
         // byte-identical.
         assert_eq!(
             jb.agreement.map(f64::to_bits),
             b.agreement.map(f64::to_bits)
         );
-        assert!(jb.error.is_none());
+        assert!(fail.is_none());
 
         let c = CellResult {
             index: 17,
@@ -2212,16 +1968,29 @@ mod tests {
             config_hash: 1,
             class: FailureClass::Livelock,
             attempts: 3,
-            error: "boom".into(),
+            error: HOSTILE_ERROR.into(),
         };
-        let (idx, jc) = parse_journal_cell(&journal_cell_entry(&c, Some(&rec))).unwrap();
-        assert_eq!(idx, 17);
-        assert_eq!(jc.path, CellPath::Failed);
-        assert_eq!(jc.class, FailureClass::Livelock);
-        assert_eq!(jc.attempts, Some(3));
-        assert_eq!(jc.error.as_deref(), Some("boom"));
-        // A pre-class journal line (no "class" field) parses as panic.
-        let (_, old) = parse_journal_cell(&journal_cell_entry(&c, None)).unwrap();
-        assert_eq!(old.class, FailureClass::Panic);
+        let line = journal_cell_entry(&c, Some(&rec));
+        assert_eq!(
+            line,
+            "{\"kind\": \"cell\", \"index\": 17, \"path\": \"failed\", \"cycles\": 0, \
+             \"host_iters\": 0, \"dep_stalls\": 0, \"validated\": false, \
+             \"class\": \"livelock\", \"attempts\": 3, \"error\": \"assertion `left == right` \
+             failed\\n  left: \\\"a\\\\b\\\"\\n right: \\\"é→✓\\\"\"}"
+        );
+        let (d, fail) = resumed_cell(&json::parse(&line).unwrap(), 17).unwrap();
+        assert_eq!(d, c.data());
+        let fail = fail.expect("the quarantine resumes too");
+        assert_eq!(fail.class, FailureClass::Livelock);
+        assert_eq!(fail.attempts, 3);
+        assert_eq!(fail.error, HOSTILE_ERROR);
+        // A completed cell's entry carries no failure.
+        let (_, none) =
+            resumed_cell(&json::parse(&journal_cell_entry(&c, None)).unwrap(), 17).unwrap();
+        assert!(none.is_none());
+        // A failure line from before classes existed resumes as a panic.
+        let old = line.replace("\"class\": \"livelock\", ", "");
+        let (_, fail) = resumed_cell(&json::parse(&old).unwrap(), 17).unwrap();
+        assert_eq!(fail.unwrap().class, FailureClass::Panic);
     }
 }

@@ -99,16 +99,6 @@ impl TelemetryReport {
     pub fn chrome_trace_json(&self) -> String {
         chrome_trace_json(&self.spans)
     }
-
-    /// The merged registry as deterministic JSON.
-    pub fn registry_json(&self) -> String {
-        self.registry.to_json()
-    }
-
-    /// The phase time-series as JSON.
-    pub fn phases_json(&self) -> String {
-        self.phases.to_json()
-    }
 }
 
 /// Live sampling state threaded through the driver loop (internal to

@@ -12,7 +12,9 @@
 //! * [`PhaseSeries`] — an interval time-series of counter snapshots (the
 //!   feed phase-adaptive reconfiguration needs), serialisable to JSON;
 //! * [`SpanSink`] / [`SpanEvent`] — a bounded event log rendered in the
-//!   Chrome trace-event format (`chrome://tracing` / Perfetto).
+//!   Chrome trace-event format (`chrome://tracing` / Perfetto);
+//! * [`json`] — the strict JSON codec every artifact is written and read
+//!   with.
 //!
 //! Everything here is *pure observation*: nothing in this crate can feed
 //! back into simulation behaviour, which is what lets the equivalence
@@ -21,8 +23,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod json;
+
+use json::Value;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Number of buckets in a [`Hist`]: bucket 0 holds zeros, bucket `b`
 /// (1..=64) holds values with `floor(log2(v)) == b - 1`, i.e. the range
@@ -66,9 +70,9 @@ impl Hist {
         (64 - v.leading_zeros()) as usize
     }
 
-    /// Inclusive lower bound of bucket `b` (0 for buckets 0 and 1).
+    /// Inclusive lower bound of bucket `b`.
     pub fn bucket_lo(b: usize) -> u64 {
-        if b <= 1 {
+        if b == 0 {
             0
         } else {
             1u64 << (b - 1)
@@ -155,25 +159,6 @@ impl Hist {
         self.sum = self.sum.wrapping_add(other.sum);
         self.max = self.max.max(other.max);
     }
-
-    /// Compact one-line rendering of the non-empty buckets, e.g.
-    /// `[64,128):12 [128,256):3` — for tables and debugging.
-    pub fn render_compact(&self) -> String {
-        let mut out = String::new();
-        for (b, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !out.is_empty() {
-                out.push(' ');
-            }
-            let _ = write!(out, "[{},{}):{n}", Self::bucket_lo(b), Self::bucket_hi(b));
-        }
-        if out.is_empty() {
-            out.push_str("(empty)");
-        }
-        out
-    }
 }
 
 /// A named, mergeable snapshot of counters and histograms.
@@ -199,11 +184,6 @@ impl Registry {
         self.counters.insert(name.to_string(), value);
     }
 
-    /// Adds to a counter, creating it at 0 first.
-    pub fn add_counter(&mut self, name: &str, value: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += value;
-    }
-
     /// Reads a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -218,16 +198,6 @@ impl Registry {
     /// Reads a histogram by name.
     pub fn hist(&self, name: &str) -> Option<&Hist> {
         self.hists.get(name)
-    }
-
-    /// Counter names in sorted order.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(|s| s.as_str())
-    }
-
-    /// Histogram names in sorted order.
-    pub fn hist_names(&self) -> impl Iterator<Item = &str> {
-        self.hists.keys().map(|s| s.as_str())
     }
 
     /// Merges another registry into this one: counters add, histograms
@@ -246,44 +216,18 @@ impl Registry {
     /// `{count, sum, max, p50, p99, buckets: {"lo": n, ...}}` with only
     /// non-empty buckets listed, keyed by inclusive lower bound).
     pub fn to_json(&self) -> String {
-        let mut j = String::from("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(j, "\n    \"{}\": {v}", json_escape(k));
-        }
-        j.push_str("\n  },\n  \"histograms\": {");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p99\": {}, \"buckets\": {{",
-                json_escape(k),
-                h.count(),
-                h.sum(),
-                h.max(),
-                h.quantile(0.5),
-                h.quantile(0.99)
-            );
-            let mut first = true;
-            for (b, &n) in h.buckets().iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    j.push_str(", ");
-                }
-                first = false;
-                let _ = write!(j, "\"{}\": {n}", Hist::bucket_lo(b));
-            }
-            j.push_str("}}");
-        }
-        j.push_str("\n  }\n}\n");
-        j
+        let counters = self.counters.iter().map(|(k, &v)| (k.as_str(), v.into()));
+        let hists = self.hists.iter().map(|(k, h)| {
+            let buckets = (0..HIST_BUCKETS).filter(|&b| h.buckets[b] > 0);
+            let buckets = buckets.map(|b| (Hist::bucket_lo(b).to_string(), h.buckets[b].into()));
+            let hist = obj! {
+                "count": h.count, "sum": h.sum, "max": h.max, "p50": h.quantile(0.5),
+                "p99": h.quantile(0.99), "buckets": Value::object(buckets),
+            };
+            (k.as_str(), hist)
+        });
+        let counters = Value::object(counters);
+        obj! { "counters": counters, "histograms": Value::object(hists) }.to_pretty(2)
     }
 }
 
@@ -333,33 +277,15 @@ impl PhaseSeries {
     /// JSON rendering: `{"interval": N, "columns": [...], "samples":
     /// [{"cycle": N, "values": [...]}, ...]}`. Deterministic.
     pub fn to_json(&self) -> String {
-        let mut j = String::from("{\n");
-        let _ = writeln!(j, "  \"interval\": {},", self.interval);
-        j.push_str("  \"columns\": [");
-        for (i, c) in self.columns.iter().enumerate() {
-            if i > 0 {
-                j.push_str(", ");
-            }
-            let _ = write!(j, "\"{}\"", json_escape(c));
+        let samples = self.samples.iter().map(|s| {
+            obj! { "cycle": s.cycle, "values": s.values.iter().copied().collect::<Value>() }
+        });
+        obj! {
+            "interval": self.interval,
+            "columns": self.columns.iter().map(String::as_str).collect::<Value>(),
+            "samples": samples.collect::<Value>(),
         }
-        j.push_str("],\n  \"samples\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let _ = write!(j, "    {{\"cycle\": {}, \"values\": [", s.cycle);
-            for (k, v) in s.values.iter().enumerate() {
-                if k > 0 {
-                    j.push_str(", ");
-                }
-                let _ = write!(j, "{v}");
-            }
-            j.push_str("]}");
-            j.push_str(if i + 1 < self.samples.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        j.push_str("  ]\n}\n");
-        j
+        .to_pretty(2)
     }
 }
 
@@ -440,59 +366,24 @@ impl SpanSink {
 pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
     let mut sorted: Vec<&SpanEvent> = events.iter().collect();
     sorted.sort_by_key(|e| (e.ts, e.tid, e.dur, e.name));
-    let mut j = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    for (tid, lane) in SpanSink::LANES.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "  {{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {tid}, \
-             \"args\": {{\"name\": \"{}\"}}}},",
-            json_escape(lane)
-        );
-    }
-    for (i, e) in sorted.iter().enumerate() {
-        if e.dur > 0 {
-            let _ = write!(
-                j,
-                "  {{\"name\": \"{}\", \"cat\": \"sim\", \"ph\": \"X\", \"ts\": {}, \
-                 \"dur\": {}, \"pid\": 0, \"tid\": {}}}",
-                json_escape(e.name),
-                e.ts,
-                e.dur,
-                e.tid
-            );
-        } else {
-            let _ = write!(
-                j,
-                "  {{\"name\": \"{}\", \"cat\": \"sim\", \"ph\": \"i\", \"ts\": {}, \
-                 \"s\": \"t\", \"pid\": 0, \"tid\": {}}}",
-                json_escape(e.name),
-                e.ts,
-                e.tid
-            );
-        }
-        j.push_str(if i + 1 < sorted.len() { ",\n" } else { "\n" });
-    }
-    j.push_str("]}\n");
-    j
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    let lanes = SpanSink::LANES.iter().enumerate().map(|(tid, &lane)| {
+        let args = obj! { "name": lane };
+        obj! { "name": "thread_name", "ph": "M", "pid": 0u32, "tid": tid, "args": args }
+    });
+    let spans = sorted.iter().map(|e| {
+        // A complete span carries its duration; an instant, its scope.
+        let (ph, extent) = match e.dur {
+            0 => ("i", obj! { "s": "t" }),
+            dur => ("X", obj! { "dur": dur }),
+        };
+        let head = obj! { "name": e.name, "cat": "sim", "ph": ph, "ts": e.ts };
+        let event = head
+            .concat(extent)
+            .concat(obj! { "pid": 0u32, "tid": e.tid });
+        Value::Raw(event.to_compact())
+    });
+    let events: Value = lanes.chain(spans).collect();
+    obj! { "displayTimeUnit": "ms", "traceEvents": events }.to_pretty(2)
 }
 
 #[cfg(test)]
@@ -510,12 +401,9 @@ mod tests {
         assert_eq!(Hist::bucket_of(256), 9);
         assert_eq!(Hist::bucket_of(u64::MAX), 64);
         for b in 0..HIST_BUCKETS {
-            let lo = Hist::bucket_lo(b);
-            // Every bucket's lower bound maps back to that bucket.
-            if b != 1 {
-                // bucket 0 and 1 share lo = 0 (0 → b0, 1 → b1)
-                assert_eq!(Hist::bucket_of(lo.max(1)), b.max(1), "bucket {b}");
-            }
+            // Every bucket's lower bound maps back to that bucket (so the
+            // registry JSON's bucket keys are unique).
+            assert_eq!(Hist::bucket_of(Hist::bucket_lo(b)), b, "bucket {b}");
         }
     }
 
@@ -643,7 +531,8 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let escape = |s: &str| Value::from(s).to_compact();
+        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
     }
 }

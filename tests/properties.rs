@@ -6,6 +6,7 @@ use etpp::mem::{AccessKind, Cache, CacheParams, MemParams, MemoryImage, MemorySy
 use etpp::trace::{
     content_hash_versioned, TraceMeta, TraceReader, TraceRecord, TraceWriter, FORMAT_VERSION,
 };
+use etpp_telemetry::json::{self, Value};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -270,6 +271,90 @@ proptest! {
         let back = reader.read_to_end().unwrap();
         prop_assert_eq!(back.records, records);
         prop_assert_eq!(&back.meta, &meta);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// JSON codec: every artifact's reader and writer
+// ---------------------------------------------------------------------------
+
+/// Any char, biased so control characters, ASCII, and multi-byte UTF-8
+/// all show up often; surrogate code points map to U+FFFD.
+fn any_char(x: u32) -> char {
+    let code = match x % 4 {
+        0 => x / 4 % 0x20,
+        1 => x / 4 % 0x80,
+        2 => x / 4 % 0x800,
+        _ => x / 4 % 0x11_0000,
+    };
+    char::from_u32(code).unwrap_or('\u{fffd}')
+}
+
+/// Builds an arbitrary document from a flat recipe: each op pushes a
+/// scalar or folds the top of the stack into an array or object; the
+/// leftover stack becomes the top-level array (or object).
+fn json_document(ops: Vec<(u8, u64, Vec<u32>)>, as_object: bool) -> Value {
+    let mut stack: Vec<Value> = Vec::new();
+    let keyed = |items: Vec<Value>, text: &str| {
+        // Suffixing the position keeps keys unique, as the parser demands.
+        Value::object(
+            items
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| (format!("{text}{i}"), v)),
+        )
+    };
+    for (op, x, chars) in ops {
+        let text: String = chars.into_iter().map(any_char).collect();
+        let take = stack.len().saturating_sub(x as usize % 4);
+        let v = match op % 8 {
+            0 => Value::Null,
+            1 => Value::Bool(x & 1 == 1),
+            2 => Value::from(x),
+            3 => Value::fixed(x as i64 as f64 / 1e3, (x % 7) as usize),
+            4 | 5 => Value::from(text),
+            6 => Value::Array(stack.split_off(take)),
+            _ => keyed(stack.split_off(take), &text),
+        };
+        stack.push(v);
+    }
+    if as_object {
+        keyed(stack, "k")
+    } else {
+        Value::Array(stack)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Emit → parse is the identity in both layouts, for strings over
+    /// the full char range (control characters included) and numbers
+    /// kept as their literal tokens.
+    #[test]
+    fn json_values_round_trip(
+        ops in proptest::collection::vec((any::<u8>(), any::<u64>(), proptest::collection::vec(any::<u32>(), 0..12)), 0..40),
+        as_object in any::<bool>(),
+        depth in 0usize..5,
+    ) {
+        let v = json_document(ops, as_object);
+        prop_assert_eq!(json::parse(&v.to_compact()).unwrap(), v.clone());
+        prop_assert_eq!(json::parse(&v.to_pretty(depth)).unwrap(), v);
+    }
+
+    /// A truncated artifact never parses: every strict prefix of an
+    /// emitted object or array document is rejected, in both layouts.
+    #[test]
+    fn corrupted_json_prefixes_are_rejected(
+        ops in proptest::collection::vec((any::<u8>(), any::<u64>(), proptest::collection::vec(any::<u32>(), 0..6)), 0..24),
+        as_object in any::<bool>(),
+        depth in 0usize..5,
+    ) {
+        let v = json_document(ops, as_object);
+        for doc in [v.to_compact(), v.to_pretty(depth).trim_end().to_string()] {
+            for cut in (0..doc.len()).filter(|&k| doc.is_char_boundary(k)) {
+                prop_assert!(json::parse(&doc[..cut]).is_err(), "prefix {cut} of {doc:?} parsed");
+            }
+        }
     }
 }
 
