@@ -3,11 +3,10 @@
 //! ```text
 //! repro [--scale tiny|small|paper] [--jobs N] \
 //!       [table1|table2|fig7|fig8|fig9a|fig9b|fig10|fig11|traffic|swpf|telemetry|all]
-//! repro --replay [--trace-dir DIR] [--trace-format 1|2] [--jobs N] \
-//!       [--scale tiny|small|paper]
+//! repro --replay [--trace-dir DIR] [--jobs N] [--scale tiny|small|paper]
 //! repro --telemetry DIR [--scale tiny|small|paper] [--jobs N]
 //! repro --sweep [--shard K/N] [--sweep-dir DIR] [--cache-dir DIR] \
-//!       [--scale tiny|small|paper] [--trace-dir DIR] [--trace-format 1|2] [--jobs N] \
+//!       [--scale tiny|small|paper] [--trace-dir DIR] [--jobs N] \
 //!       [--resume] [--strict] [--fault-inject PLAN] [--cell-budget SECS]
 //! repro --sweep-merge DIR
 //! ```
@@ -23,11 +22,10 @@
 //! on disk under `--trace-dir`, default `target/traces`) and then replayed
 //! against every prefetcher across `--jobs` worker threads. Replay
 //! reproduces relative speedup orderings at a fraction of the cost; see
-//! `etpp-trace` for the fidelity contract. `--trace-format` selects the
-//! on-disk capture format (default 2: dependence-annotated, replayed
-//! with the dependence-aware front end and reported with an
-//! absolute-cycle agreement column against the capture run; 1 opts back
-//! into the legacy fixed-window model).
+//! `etpp-trace` for the fidelity contract. Captures are written in the
+//! current dependence-annotated format (v2), replayed with the
+//! dependence-aware front end and reported with an absolute-cycle
+//! agreement table against the capture run.
 //!
 //! `--sweep` runs the composed ablation grid (observation-queue depth ×
 //! EWMA look-ahead scale × prefetch-buffer capacity × engine mode, on
@@ -132,7 +130,6 @@ fn main() {
     let mut sweep_merge: Option<PathBuf> = None;
     let mut telemetry_dir: Option<PathBuf> = None;
     let mut trace_dir = PathBuf::from("target/traces");
-    let mut trace_format = etpp_trace::FORMAT_VERSION;
     let mut jobs = std::thread::available_parallelism().map_or(4, |n| n.get());
     let mut strict = false;
     let mut resume = false;
@@ -194,20 +191,6 @@ fn main() {
             )));
         } else if a == "--trace-dir" {
             trace_dir = PathBuf::from(next_value(&mut it, "--trace-dir needs a path"));
-        } else if a == "--trace-format" {
-            let v = next_value(&mut it, "--trace-format needs a version");
-            trace_format = v
-                .parse()
-                .unwrap_or_else(|_| usage_error(&format!("--trace-format: 1 or 2, got {v:?}")));
-            if !(etpp_trace::MIN_FORMAT_VERSION..=etpp_trace::FORMAT_VERSION)
-                .contains(&trace_format)
-            {
-                usage_error(&format!(
-                    "--trace-format: {}..={} supported, got {trace_format}",
-                    etpp_trace::MIN_FORMAT_VERSION,
-                    etpp_trace::FORMAT_VERSION
-                ));
-            }
         } else if a == "--jobs" {
             let v = next_value(&mut it, "--jobs needs a count");
             jobs = v
@@ -258,7 +241,6 @@ fn main() {
         run_sweep_cmd(&SweepCli {
             scale,
             trace_dir,
-            trace_format,
             jobs,
             shard: shard.unwrap_or((0, 1)),
             cache_dir,
@@ -277,7 +259,7 @@ fn main() {
                 what.join(" ")
             );
         }
-        run_replay(scale, &trace_dir, trace_format, jobs);
+        run_replay(scale, &trace_dir, jobs);
         return;
     }
     // `--telemetry DIR` alone runs just the telemetry grid; alongside
@@ -495,7 +477,6 @@ fn scale_label(scale: Scale) -> &'static str {
 struct SweepCli {
     scale: Scale,
     trace_dir: PathBuf,
-    trace_format: u16,
     jobs: usize,
     shard: (usize, usize),
     cache_dir: PathBuf,
@@ -511,6 +492,59 @@ struct SweepCli {
 /// the actual problem (a bad path or full disk).
 fn io_fail(what: &str, path: &std::path::Path, e: &dyn std::fmt::Display) -> ! {
     eprintln!("error: {what} {}: {e}", path.display());
+    std::process::exit(1);
+}
+
+/// The captures behind `(workload name, result)` pairs, in order, or
+/// exit 1 naming every failed baseline capture on stderr
+/// (`[capture] FAILED: …`) instead of a worker panic backtrace. With a
+/// `failures_path` the failures are also written there as
+/// `"mode": "capture"` records, the file a failed sweep cell goes to.
+fn capture_or_exit(
+    results: Vec<(&str, Result<rp::KeyedCapture, String>)>,
+    failures_path: Option<&std::path::Path>,
+) -> Vec<rp::KeyedCapture> {
+    let mut captures = Vec::with_capacity(results.len());
+    let mut failures = Vec::new();
+    for (workload, result) in results {
+        match result {
+            Ok(c) => captures.push(c),
+            Err(error) => failures.push(faults::FailureRecord {
+                index: None,
+                workload: workload.to_string(),
+                mode: "capture".to_string(),
+                settings: "-".to_string(),
+                config_hash: 0,
+                class: faults::FailureClass::Panic,
+                attempts: 1,
+                error,
+            }),
+        }
+    }
+    if failures.is_empty() {
+        return captures;
+    }
+    if let Some(path) = failures_path {
+        if let Some(dir) = path.parent() {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                io_fail("create sweep dir", dir, &e);
+            }
+        }
+        if let Err(e) = faults::write_failures(path, &failures) {
+            io_fail("write failures file", path, &e);
+        }
+    }
+    for f in &failures {
+        eprintln!("[capture] FAILED: {}", f.error);
+    }
+    match failures_path {
+        Some(path) => eprintln!(
+            "[capture] {} baseline capture(s) failed; details in {}",
+            failures.len(),
+            path.display()
+        ),
+        None => eprintln!("[capture] {} baseline capture(s) failed", failures.len()),
+    }
     std::process::exit(1);
 }
 
@@ -542,56 +576,19 @@ fn run_sweep_cmd(cli: &SweepCli) {
     // (which may legitimately hit a stale trace) contributes to it.
     let decode_errors_from = faults::trace_decode_errors();
     let t0 = Instant::now();
-    let capture_results: Vec<Result<rp::KeyedCapture, String>> =
+    let failures_path = cli
+        .sweep_dir
+        .join(format!("failures-{}-of-{}.json", shard.0, shard.1));
+    let mut captures = capture_or_exit(
         ex::map_indexed(jobs, workloads.len(), |i| {
-            rp::try_load_or_capture_keyed(
-                Some(&cli.trace_dir),
-                &cfg,
-                &workloads[i],
-                label,
-                cli.trace_format,
+            let w = &workloads[i];
+            (
+                w.name,
+                rp::load_or_capture(Some(&cli.trace_dir), &cfg, w, label),
             )
-        });
-    let mut captures: Vec<rp::KeyedCapture> = Vec::with_capacity(capture_results.len());
-    let mut capture_failures: Vec<faults::FailureRecord> = Vec::new();
-    for (i, result) in capture_results.into_iter().enumerate() {
-        match result {
-            Ok(c) => captures.push(c),
-            // A failed baseline capture quarantines through the same
-            // failures file as a failed cell — a structured record and
-            // exit 1, not a worker panic backtrace.
-            Err(e) => capture_failures.push(faults::FailureRecord {
-                index: None,
-                workload: workloads[i].name.to_string(),
-                mode: "capture".to_string(),
-                settings: "-".to_string(),
-                config_hash: 0,
-                class: faults::FailureClass::Panic,
-                attempts: 1,
-                error: e,
-            }),
-        }
-    }
-    if !capture_failures.is_empty() {
-        if let Err(e) = std::fs::create_dir_all(&cli.sweep_dir) {
-            io_fail("create sweep dir", &cli.sweep_dir, &e);
-        }
-        let failures_path = cli
-            .sweep_dir
-            .join(format!("failures-{}-of-{}.json", shard.0, shard.1));
-        if let Err(e) = faults::write_failures(&failures_path, &capture_failures) {
-            io_fail("write failures file", &failures_path, &e);
-        }
-        for f in &capture_failures {
-            eprintln!("[capture] FAILED: {}", f.error);
-        }
-        eprintln!(
-            "[capture] {} baseline capture(s) failed; details in {}",
-            capture_failures.len(),
-            failures_path.display()
-        );
-        std::process::exit(1);
-    }
+        }),
+        Some(&failures_path),
+    );
     eprintln!("[capture] {} traces in {:?}", captures.len(), t0.elapsed());
 
     // Fault injection: corrupt the on-disk traces the plan names, then
@@ -601,22 +598,29 @@ fn run_sweep_cmd(cli: &SweepCli) {
     if let Some(plan) = &cli.fault_plan {
         let paths: Vec<PathBuf> = workloads
             .iter()
-            .map(|w| rp::trace_path(&cli.trace_dir, w, label, cli.trace_format))
+            .map(|w| rp::trace_path(&cli.trace_dir, w, label))
             .collect();
         let touched = faults::apply_trace_flips(plan, &paths)
             .unwrap_or_else(|e| io_fail("corrupt trace under", &cli.trace_dir, &e));
-        for wi in touched {
-            eprintln!(
-                "[faults] flipped a byte in {}; reloading",
-                paths[wi].display()
-            );
-            captures[wi] = rp::load_or_capture_keyed(
-                Some(&cli.trace_dir),
-                &cfg,
-                &workloads[wi],
-                label,
-                cli.trace_format,
-            );
+        let reloads = touched
+            .iter()
+            .map(|&wi| {
+                eprintln!(
+                    "[faults] flipped a byte in {}; reloading",
+                    paths[wi].display()
+                );
+                let w = &workloads[wi];
+                (
+                    w.name,
+                    rp::load_or_capture(Some(&cli.trace_dir), &cfg, w, label),
+                )
+            })
+            .collect();
+        for (wi, cap) in touched
+            .into_iter()
+            .zip(capture_or_exit(reloads, Some(&failures_path)))
+        {
+            captures[wi] = cap;
         }
     }
 
@@ -652,9 +656,6 @@ fn run_sweep_cmd(cli: &SweepCli) {
     if let Err(e) = std::fs::create_dir_all(&cli.sweep_dir) {
         io_fail("create sweep dir", &cli.sweep_dir, &e);
     }
-    let failures_path = cli
-        .sweep_dir
-        .join(format!("failures-{}-of-{}.json", shard.0, shard.1));
     if let Err(e) = faults::write_failures(&failures_path, &run.failures) {
         io_fail("write failures file", &failures_path, &e);
     }
@@ -731,18 +732,18 @@ fn run_sweep_merge(dir: &std::path::Path) {
 
 /// The trace-replay fast path: capture (or load) every workload's demand
 /// stream, then replay the Figure 7 and Figure 11 grids in parallel.
-fn run_replay(scale: Scale, trace_dir: &std::path::Path, trace_format: u16, jobs: usize) {
+fn run_replay(scale: Scale, trace_dir: &std::path::Path, jobs: usize) {
     let cfg = SystemConfig::paper();
     let label = scale_label(scale);
     println!(
         "# ETPP reproduction (trace replay) — scale: {scale:?}, jobs: {jobs}, \
-         trace format: v{trace_format}\n\n\
+         trace format: v{}\n\n\
          Speedups are relative to a no-prefetch *replay* baseline over the same\n\
          captured stream; orderings are comparable with cycle-level results.\n\
-         Dependence-annotated (v2) streams replay with the dependence-aware\n\
-         front end, whose absolute cycle counts track the cycle core (see the\n\
-         agreement table below); v1 streams replay with the legacy fixed\n\
-         window, whose absolute counts are not comparable.\n"
+         Dependence-annotated streams replay with the dependence-aware front\n\
+         end, whose absolute cycle counts track the cycle core (see the\n\
+         agreement table below).\n",
+        etpp_trace::FORMAT_VERSION
     );
 
     let t0 = Instant::now();
@@ -755,36 +756,35 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, trace_format: u16, jobs
 
     // Capture (or load from cache) every workload's stream, `jobs` at a time.
     let t0 = Instant::now();
-    let captures: Vec<(etpp_trace::CapturedTrace, rp::CaptureSource)> =
+    let captures = capture_or_exit(
         ex::map_indexed(jobs, workloads.len(), |i| {
-            rp::load_or_capture_as(Some(trace_dir), &cfg, &workloads[i], label, trace_format)
-        });
+            let w = &workloads[i];
+            (w.name, rp::load_or_capture(Some(trace_dir), &cfg, w, label))
+        }),
+        None,
+    );
     eprintln!("[capture] {} traces in {:?}", captures.len(), t0.elapsed());
 
     println!("## Trace corpus\n");
     println!("| Benchmark | Records | Accesses | Capture cycles | Source | File |");
     println!("|---|---|---|---|---|---|");
-    for (w, (t, src)) in workloads.iter().zip(&captures) {
-        let path = rp::trace_path(trace_dir, w, label, trace_format);
+    for (w, c) in workloads.iter().zip(&captures) {
+        let (t, path) = (&c.trace, rp::trace_path(trace_dir, w, label));
         let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         println!(
             "| {} | {} | {} | {} | {:?} | {} ({:.1} MiB) |",
             w.name,
             t.records.len(),
             t.access_count(),
-            if t.meta.capture_cycles > 0 {
-                t.meta.capture_cycles.to_string()
-            } else {
-                "n/a (v1)".to_string()
-            },
-            src,
+            t.meta.capture_cycles,
+            c.source,
             path.display(),
             size as f64 / (1024.0 * 1024.0),
         );
     }
     println!();
 
-    let traces: Vec<etpp_trace::CapturedTrace> = captures.into_iter().map(|(t, _)| t).collect();
+    let traces: Vec<etpp_trace::CapturedTrace> = captures.into_iter().map(|c| c.trace).collect();
 
     let t0 = Instant::now();
     // The Figure 7 modes that replay supports (Software needs the
@@ -809,26 +809,20 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, trace_format: u16, jobs
 
     // Absolute-cycle agreement: no-prefetch replay vs the capture run's
     // recorded cycle count (the cycle core over the identical stream).
-    // Only v2 headers carry the reference, so a v1 sweep skips this.
-    if traces.iter().any(|t| t.meta.capture_cycles > 0) {
-        println!("## Replay absolute-cycle agreement (baseline vs capture run)\n");
-        println!("| Benchmark | Cycle core | Replay | Replay/cycle |");
-        println!("|---|---|---|---|");
-        for (i, (w, t)) in workloads.iter().zip(&traces).enumerate() {
-            if t.meta.capture_cycles == 0 {
-                continue;
-            }
-            let replayed = fig7.baseline_cycles[i];
-            println!(
-                "| {} | {} | {} | {:.3} |",
-                w.name,
-                t.meta.capture_cycles,
-                replayed,
-                replayed as f64 / t.meta.capture_cycles as f64,
-            );
-        }
-        println!();
+    println!("## Replay absolute-cycle agreement (baseline vs capture run)\n");
+    println!("| Benchmark | Cycle core | Replay | Replay/cycle |");
+    println!("|---|---|---|---|");
+    for (i, (w, t)) in workloads.iter().zip(&traces).enumerate() {
+        let replayed = fig7.baseline_cycles[i];
+        println!(
+            "| {} | {} | {} | {:.3} |",
+            w.name,
+            t.meta.capture_cycles,
+            replayed,
+            replayed as f64 / t.meta.capture_cycles as f64,
+        );
     }
+    println!();
 
     let t0 = Instant::now();
     let fig11 = rp::replay_grid(

@@ -15,7 +15,9 @@ use etpp_workloads::{BuiltWorkload, Scale, Workload};
 fn setup() -> (SystemConfig, BuiltWorkload, CapturedTrace) {
     let cfg = SystemConfig::paper();
     let wl = etpp_workloads::intsort::IntSort.build(Scale::Tiny);
-    let (trace, _) = load_or_capture(None, &cfg, &wl, "tiny");
+    let trace = load_or_capture(None, &cfg, &wl, "tiny")
+        .expect("capture")
+        .trace;
     (cfg, wl, trace)
 }
 
@@ -44,6 +46,7 @@ fn bench_mode(
                     wl.image.clone(),
                     &trace.records,
                     engine.as_dyn(),
+                    None,
                 );
                 black_box(r.cycles)
             });

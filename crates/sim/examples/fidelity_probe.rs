@@ -74,7 +74,8 @@ fn main() {
                     },
                 ),
             ] {
-                let r = rp::replay_run_with(&cfg, mode, &wl, &trace.records, &params).unwrap();
+                let r =
+                    rp::replay_run_with(&cfg, mode, &wl, &trace.records, &params, None).unwrap();
                 print!(
                     " {label}={} ({:+.3})",
                     r.cycles,

@@ -156,11 +156,7 @@ struct SweepStanza {
 fn run_sweep_stanza(
     cfg: &SystemConfig,
     workloads: &[BuiltWorkload],
-    captures: &[(
-        etpp_trace::CapturedTrace,
-        rp::CaptureSource,
-        std::time::Duration,
-    )],
+    captures: &[rp::KeyedCapture],
     scale_label: &str,
     jobs: usize,
 ) -> SweepStanza {
@@ -170,19 +166,6 @@ fn run_sweep_stanza(
         modes: vec![PrefetchMode::Stride, PrefetchMode::Manual],
         axes: vec![sweeps::axes::obs_queue(&[10, 40])],
     };
-    let keyed: Vec<rp::KeyedCapture> = workloads
-        .iter()
-        .zip(captures)
-        .map(|(_, (trace, source, _))| rp::KeyedCapture {
-            content_hash: etpp_trace::content_hash_versioned(
-                &trace.records,
-                etpp_trace::FORMAT_VERSION,
-            ),
-            trace: trace.clone(),
-            source: *source,
-            trace_format: etpp_trace::FORMAT_VERSION,
-        })
-        .collect();
     let cache = std::env::temp_dir().join(format!("etpp-speedcheck-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache);
     let opts = sweeps::SweepOptions {
@@ -191,7 +174,7 @@ fn run_sweep_stanza(
     };
     let pass = || {
         let t = Instant::now();
-        let run = sweeps::run_sweep(&spec, workloads, &keyed, &opts);
+        let run = sweeps::run_sweep(&spec, workloads, captures, &opts);
         (
             SweepPass {
                 hit: run.cache_hits(),
@@ -548,12 +531,17 @@ fn main() {
         );
         workloads.push(wl);
     }
-    let captures = map_indexed(jobs, workloads.len(), |i| {
-        let t = Instant::now();
-        let (trace, src) = rp::load_or_capture(None, &cfg, &workloads[i], scale_label);
-        (trace, src, t.elapsed())
-    });
-    for (wl, (trace, _, took)) in workloads.iter().zip(&captures) {
+    let (captures, capture_times): (Vec<rp::KeyedCapture>, Vec<Duration>) =
+        map_indexed(jobs, workloads.len(), |i| {
+            let t = Instant::now();
+            let cap = rp::load_or_capture(None, &cfg, &workloads[i], scale_label)
+                .unwrap_or_else(|e| panic!("{e}"));
+            (cap, t.elapsed())
+        })
+        .into_iter()
+        .unzip();
+    for ((wl, cap), took) in workloads.iter().zip(&captures).zip(&capture_times) {
+        let trace = &cap.trace;
         eprintln!(
             "{}: capture {} records ({} accesses) in {took:?}",
             wl.name,
@@ -614,10 +602,17 @@ fn main() {
                 Err(why) => Row::Skipped("cycle", mode, why.to_string()),
             }
         } else {
-            let records = &captures[wi].0.records;
+            let records = &captures[wi].trace.records;
             let wd = Watchdog::with_budget(WATCHDOG_BUDGET);
             let t = Instant::now();
-            match rp::replay_run_watched(&cfg, mode, wl, records, Some(wd.token())) {
+            match rp::replay_run_with(
+                &cfg,
+                mode,
+                wl,
+                records,
+                &rp::replay_params(),
+                Some(wd.token()),
+            ) {
                 Ok(r) => {
                     let wall = t.elapsed().as_secs_f64();
                     Row::Replay(ReplayRow {
@@ -626,7 +621,7 @@ fn main() {
                         host_iters: r.host_iters,
                         dep_stalls: r.dep_stalls,
                         wall_s: wall,
-                        accesses_per_s: captures[wi].0.access_count() as f64 / wall,
+                        accesses_per_s: captures[wi].trace.access_count() as f64 / wall,
                         host_speedup: None, // filled in below from the cycle row
                         cycle_agreement: None, // likewise
                         validated: r.validated,
@@ -686,7 +681,7 @@ fn main() {
         }
         reports.push(WorkloadReport {
             name: wl.name,
-            trace_accesses: captures[wi].0.access_count(),
+            trace_accesses: captures[wi].trace.access_count(),
             cycle: cycle_rows,
             replay: replay_rows,
         });

@@ -171,31 +171,14 @@ pub fn classify_panic(payload: &(dyn Any + Send)) -> FailureClass {
 
 /// Runs `f` with panic isolation under `policy`: catches panics,
 /// retries with deterministic backoff (bumping `retries` once per
-/// retry), and quarantines into a [`JobFailure`] after the budget is
+/// retry), and quarantines into a [`JobFailure`] after the schedule is
 /// spent. `f` receives the zero-based attempt number so injected
 /// faults can be transient (fail attempts `< k`) or permanent.
 ///
-/// A [`FatalFault`] payload is rethrown immediately — it models the
-/// process dying, which retry must not mask. In strict mode `f` runs
-/// bare and any panic propagates.
-///
-/// # Errors
-/// The [`JobFailure`] carrying the last panic message once all
-/// attempts are exhausted.
-pub fn run_isolated<R>(
-    policy: &RetryPolicy,
-    index: usize,
-    retries: &AtomicU64,
-    f: impl Fn(u32) -> R,
-) -> Result<R, JobFailure> {
-    run_isolated_budgeted(policy, index, retries, None, |attempt, _| f(attempt))
-}
-
-/// [`run_isolated`] with an optional per-attempt wall-clock budget. A
-/// `Some(budget)` arms each attempt with a fresh [`CancelToken`] whose
-/// deadline escalates by [`BUDGET_ESCALATION`]× per attempt, handed to
-/// `f` so it can thread the token into the simulation. A zero budget
-/// means "explicitly disarmed" (`f` sees no token).
+/// A `Some(budget)` arms each attempt with a fresh [`CancelToken`]
+/// whose deadline escalates by [`BUDGET_ESCALATION`]× per attempt,
+/// handed to `f` so it can thread the token into the simulation. `None`
+/// or a zero budget means "disarmed" (`f` sees no token).
 ///
 /// Failure classes pick the retry schedule: a plain panic keeps the
 /// policy's full `max_attempts`, while a timeout, livelock, or
@@ -203,10 +186,14 @@ pub fn run_isolated<R>(
 /// timeouts — before quarantine (a hung cell rarely heals, and
 /// re-running it is the most expensive retry there is).
 ///
+/// A [`FatalFault`] payload is rethrown immediately — it models the
+/// process dying, which retry must not mask. In strict mode `f` runs
+/// bare and any panic propagates.
+///
 /// # Errors
 /// The [`JobFailure`] (carrying the classified last failure) once the
 /// schedule is exhausted.
-pub fn run_isolated_budgeted<R>(
+pub fn run_isolated<R>(
     policy: &RetryPolicy,
     index: usize,
     retries: &AtomicU64,
@@ -749,7 +736,7 @@ mod tests {
         };
         let retries = AtomicU64::new(0);
         let budgets = std::sync::Mutex::new(Vec::new());
-        let r: Result<(), _> = run_isolated_budgeted(
+        let r: Result<(), _> = run_isolated(
             &policy,
             11,
             &retries,
@@ -781,7 +768,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let retries = AtomicU64::new(0);
-        let r: Result<(), _> = run_isolated_budgeted(
+        let r: Result<(), _> = run_isolated(
             &policy,
             4,
             &retries,
@@ -795,7 +782,7 @@ mod tests {
         assert_eq!(fail.class, FailureClass::Panic);
         assert_eq!(fail.attempts, 3);
         // Zero budget = explicitly disarmed: no token reaches f.
-        let ok = run_isolated_budgeted(&policy, 4, &retries, Some(Duration::ZERO), |_, token| {
+        let ok = run_isolated(&policy, 4, &retries, Some(Duration::ZERO), |_, token| {
             assert!(token.is_none());
             7u32
         });
@@ -818,7 +805,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let retries = AtomicU64::new(0);
-        let r = run_isolated(&policy, 9, &retries, |attempt| {
+        let r = run_isolated(&policy, 9, &retries, None, |attempt, _| {
             assert!(attempt < 3);
             if attempt < 2 {
                 panic!("transient");
@@ -836,7 +823,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let retries = AtomicU64::new(0);
-        let r: Result<(), _> = run_isolated(&policy, 7, &retries, |_| panic!("permanent"));
+        let r: Result<(), _> = run_isolated(&policy, 7, &retries, None, |_, _| panic!("permanent"));
         let fail = r.unwrap_err();
         assert_eq!(fail.index, 7);
         assert_eq!(fail.attempts, 3);
@@ -851,7 +838,7 @@ mod tests {
         };
         let retries = AtomicU64::new(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let _ = run_isolated(&policy, 0, &retries, |_| -> () {
+            let _ = run_isolated(&policy, 0, &retries, None, |_, _| -> () {
                 panic_any(FatalFault("simulated crash".into()))
             });
         }));

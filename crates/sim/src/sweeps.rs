@@ -37,10 +37,9 @@
 use crate::config::{PrefetchMode, SystemConfig};
 use crate::experiments::{map_indexed, shard_indices};
 use crate::faults::{
-    run_isolated, run_isolated_budgeted, FailureClass, FailureRecord, FaultPlan, JobFailure,
-    Journal, RetryPolicy,
+    run_isolated, FailureClass, FailureRecord, FaultPlan, JobFailure, Journal, RetryPolicy,
 };
-use crate::replay::{replay_params, replay_run_watched, KeyedCapture};
+use crate::replay::{replay_params, replay_run_with, KeyedCapture};
 use crate::system::{run, run_watched};
 use crate::watchdog::Watchdog;
 use etpp_mem::cancel::CancelToken;
@@ -790,7 +789,7 @@ fn exec_cell(
     cancel: Option<&CancelToken>,
 ) -> CellData {
     if !escalate {
-        if let Ok(r) = replay_run_watched(cfg, mode, wl, records, cancel) {
+        if let Ok(r) = replay_run_with(cfg, mode, wl, records, &replay_params(), cancel) {
             if r.validated {
                 return CellData {
                     path: CellPath::Replay,
@@ -1042,7 +1041,7 @@ pub fn run_sweep(
                 return (b, fail.map(baseline_failure));
             }
             let wall_start = Instant::now();
-            let computed = run_isolated(&opts.retry, wi, &counters.retries, |attempt| {
+            let computed = run_isolated(&opts.retry, wi, &counters.retries, None, |attempt, _| {
                 if let Some(p) = plan {
                     p.maybe_panic_baseline(wi, attempt);
                 }
@@ -1225,7 +1224,7 @@ pub fn run_sweep(
                     None => (completed_cell(d, false), None),
                 };
             }
-            let outcome = run_isolated_budgeted(
+            let outcome = run_isolated(
                 &opts.retry,
                 job,
                 &counters.retries,

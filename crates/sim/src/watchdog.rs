@@ -13,7 +13,7 @@
 //!   bit-identical to unwatched ones (pinned by the equivalence suite).
 //!   When the token fires, the run aborts with a typed
 //!   [`Cancelled`] payload that the isolation layer
-//!   ([`crate::faults::run_isolated_budgeted`]) classifies as a
+//!   ([`crate::faults::run_isolated`]) classifies as a
 //!   `timeout` or `cancelled` quarantine instead of a crash.
 //!
 //! * A [`LivelockDetector`] is armed *unconditionally* in the

@@ -93,8 +93,9 @@ impl<W: Write> TraceWriter<W> {
     /// Writes the header at a specific format version.
     ///
     /// Version [`MIN_FORMAT_VERSION`] (1) drops the dependence edges
-    /// and the capture-cycle count — it exists so consumers without
-    /// dependence-aware replay can still be fed.
+    /// and the capture-cycle count. The capture pipeline writes only
+    /// [`FORMAT_VERSION`]; this lets tests produce v1 bytes for the
+    /// reader (the corruption proptest and the frozen golden fixture).
     ///
     /// # Panics
     /// Panics when `version` is outside

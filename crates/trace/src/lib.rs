@@ -52,7 +52,7 @@
 //! // ...and replay them against a fresh memory hierarchy.
 //! let mut engine = NullEngine;
 //! let res = etpp_trace::replay(
-//!     &ReplayParams::default(), MemParams::paper(), image, &records, &mut engine,
+//!     &ReplayParams::default(), MemParams::paper(), image, &records, &mut engine, None,
 //! );
 //! assert_eq!(res.accesses, 2);
 //! ```
@@ -71,4 +71,4 @@ pub use format::{
     MIN_FORMAT_VERSION,
 };
 pub use io::{TraceReader, TraceWriter};
-pub use replay::{replay, replay_cancellable, ReplayParams, ReplayResult};
+pub use replay::{replay, ReplayParams, ReplayResult};

@@ -175,29 +175,18 @@ fn dep_completed_at(
 
 /// Replays `records` through a fresh hierarchy attached to `engine`.
 ///
-/// # Panics
-/// Panics on demand accesses to unmapped addresses (a corrupt trace or
-/// wrong memory image) and when `params.max_cycles` is exceeded.
-pub fn replay(
-    params: &ReplayParams,
-    mem_params: MemParams,
-    image: MemoryImage,
-    records: &[TraceRecord],
-    engine: &mut dyn PrefetchEngine,
-) -> ReplayResult {
-    replay_cancellable(params, mem_params, image, records, engine, None)
-}
-
-/// [`replay`] under a cooperative-cancellation token, polled once per
-/// replay host iteration (never per simulated cycle) and at each
+/// `cancel` is an optional cooperative-cancellation token, polled once
+/// per replay host iteration (never per simulated cycle) and at each
 /// memory-system `advance_to` entry. A quiet token is pure observation
-/// — the result is bit-identical to [`replay`]; a fired token aborts by
+/// — the result is bit-identical to `None`; a fired token aborts by
 /// panicking with its typed [`etpp_mem::Cancelled`] payload, which the
 /// sweep farm quarantines as a timeout/cancellation.
 ///
 /// # Panics
-/// As [`replay`], plus the token's payload once it fires.
-pub fn replay_cancellable(
+/// Panics on demand accesses to unmapped addresses (a corrupt trace or
+/// wrong memory image), when `params.max_cycles` is exceeded, and with
+/// the token's payload once it fires.
+pub fn replay(
     params: &ReplayParams,
     mem_params: MemParams,
     image: MemoryImage,
@@ -549,6 +538,7 @@ mod tests {
             image,
             &recs,
             &mut engine,
+            None,
         );
         assert_eq!(r.accesses, 128);
         // Every line misses once; a few pass-2 accesses can arrive while
@@ -582,6 +572,7 @@ mod tests {
             image,
             &recs,
             &mut engine,
+            None,
         );
         assert_eq!(r.image.read_u64(base + 128), 0xdead_beef);
     }
@@ -605,6 +596,7 @@ mod tests {
             },
             &recs,
             &mut e1,
+            None,
         );
         let mut e2 = NullEngine;
         let wide = replay(
@@ -616,6 +608,7 @@ mod tests {
             image,
             &recs,
             &mut e2,
+            None,
         );
         let _ = base;
         assert!(
@@ -666,6 +659,7 @@ mod tests {
             image.clone(),
             &indep,
             &mut e1,
+            None,
         );
         let mut e2 = NullEngine;
         let serialised = replay(
@@ -674,6 +668,7 @@ mod tests {
             image,
             &chase,
             &mut e2,
+            None,
         );
         assert_eq!(serialised.accesses, 64);
         assert!(serialised.dep_stalls > 32, "chase must stall on producers");
@@ -700,6 +695,7 @@ mod tests {
             image.clone(),
             &chase,
             &mut e1,
+            None,
         );
         let mut e2 = NullEngine;
         let indep = replay(
@@ -708,6 +704,7 @@ mod tests {
             image,
             &mk_records(64, 4096, base),
             &mut e2,
+            None,
         );
         assert_eq!(v1_like.dep_stalls, 0);
         assert_eq!(
@@ -761,6 +758,7 @@ mod tests {
                 image,
                 &recs,
                 &mut engine,
+                None,
             )
         };
         let fast = run(false, image.clone());
@@ -786,6 +784,7 @@ mod tests {
             image,
             &[],
             &mut engine,
+            None,
         );
         assert_eq!(r.accesses, 0);
         assert!(r.cycles < 10);

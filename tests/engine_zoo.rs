@@ -108,7 +108,9 @@ fn zoo_replay_fast_path_matches_per_cycle_reference() {
     use etpp::trace::{replay, ReplayParams};
     let cfg = SystemConfig::paper();
     for wl in &suite_workloads() {
-        let (trace, _) = load_or_capture(None, &cfg, wl, "tiny");
+        let trace = load_or_capture(None, &cfg, wl, "tiny")
+            .expect("capture")
+            .trace;
         for mode in PrefetchMode::ZOO {
             let run_one = |per_cycle: bool| {
                 let mut engine = make_engine(&cfg, mode, wl).expect("zoo modes never skip");
@@ -123,6 +125,7 @@ fn zoo_replay_fast_path_matches_per_cycle_reference() {
                     wl.image.clone(),
                     &trace.records,
                     engine.as_dyn(),
+                    None,
                 )
             };
             let fast = run_one(false);
@@ -367,7 +370,9 @@ fn adaptive_switches_once_at_the_phase_boundary_and_beats_both_statics() {
 fn every_zoo_mode_is_registered_and_replayable() {
     let cfg = SystemConfig::paper();
     let wl = built("IntSort");
-    let (trace, _) = load_or_capture(None, &cfg, &wl, "tiny");
+    let trace = load_or_capture(None, &cfg, &wl, "tiny")
+        .expect("capture")
+        .trace;
     for mode in PrefetchMode::ZOO {
         assert!(
             PrefetchMode::ALL.contains(&mode),

@@ -83,7 +83,7 @@ fn replay_with(
         inner: engine.as_dyn(),
         log: Vec::new(),
     };
-    let result = replay(&params, cfg.mem, image, records, &mut rec);
+    let result = replay(&params, cfg.mem, image, records, &mut rec, None);
     let requests = rec.log;
     Outcome {
         result,
@@ -100,7 +100,9 @@ fn assert_equivalent_with(mode: PrefetchMode, wl_name: &str, tweak: impl Fn(&mut
     let wl = workload_by_name(wl_name).unwrap().build(Scale::Tiny);
     let mut cfg = SystemConfig::paper();
     tweak(&mut cfg);
-    let (trace, _) = load_or_capture(None, &cfg, &wl, "tiny");
+    let trace = load_or_capture(None, &cfg, &wl, "tiny")
+        .expect("capture")
+        .trace;
 
     let fast = replay_with(&cfg, mode, &wl, wl.image.clone(), &trace.records, false);
     let reference = replay_with(&cfg, mode, &wl, wl.image.clone(), &trace.records, true);
@@ -440,7 +442,9 @@ fn telemetry_is_observationally_transparent() {
 /// every engine mode, on both the cycle and the replay path.
 #[test]
 fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
-    use etpp::sim::{replay_run, replay_run_watched, run, run_watched, Watchdog};
+    use etpp::sim::{
+        replay::replay_params, replay_run, replay_run_with, run, run_watched, Watchdog,
+    };
     use std::time::Duration;
     // Generous enough that it cannot fire at Tiny scale; the strided
     // deadline polls and livelock bookkeeping still execute on every
@@ -449,7 +453,9 @@ fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
     let cfg = SystemConfig::paper();
     for wl_name in ["IntSort", "HJ-8"] {
         let wl = workload_by_name(wl_name).unwrap().build(Scale::Tiny);
-        let (trace, _) = load_or_capture(None, &cfg, &wl, "tiny");
+        let trace = load_or_capture(None, &cfg, &wl, "tiny")
+            .expect("capture")
+            .trace;
         for mode in [
             PrefetchMode::None,
             PrefetchMode::Stride,
@@ -495,8 +501,15 @@ fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
             }
             if let Ok(plain) = replay_run(&cfg, mode, &wl, &trace.records) {
                 let wd = Watchdog::with_budget(budget);
-                let watched = replay_run_watched(&cfg, mode, &wl, &trace.records, Some(wd.token()))
-                    .expect("expressible above");
+                let watched = replay_run_with(
+                    &cfg,
+                    mode,
+                    &wl,
+                    &trace.records,
+                    &replay_params(),
+                    Some(wd.token()),
+                )
+                .expect("expressible above");
                 assert_eq!(
                     (plain.cycles, plain.host_iters, plain.dep_stalls),
                     (watched.cycles, watched.host_iters, watched.dep_stalls),
@@ -543,7 +556,9 @@ fn cycle_path_is_horizon_equivalent_at_small_scale() {
 fn programmable_hot_path_is_allocation_free_when_warm() {
     let wl = workload_by_name("HJ-8").unwrap().build(Scale::Tiny);
     let cfg = SystemConfig::paper();
-    let (trace, _) = load_or_capture(None, &cfg, &wl, "tiny");
+    let trace = load_or_capture(None, &cfg, &wl, "tiny")
+        .expect("capture")
+        .trace;
     let mut engine = make_engine(&cfg, PrefetchMode::Manual, &wl).unwrap();
     let params = ReplayParams {
         window: 8,
@@ -555,6 +570,7 @@ fn programmable_hot_path_is_allocation_free_when_warm() {
         wl.image.clone(),
         &trace.records,
         engine.as_dyn(),
+        None,
     );
     let Engine::Prog(p) = &engine else {
         panic!("manual mode is programmable")
@@ -566,6 +582,7 @@ fn programmable_hot_path_is_allocation_free_when_warm() {
         wl.image.clone(),
         &trace.records,
         engine.as_dyn(),
+        None,
     );
     let Engine::Prog(p) = &engine else {
         panic!("manual mode is programmable")

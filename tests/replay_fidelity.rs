@@ -6,9 +6,11 @@
 //! serialisation is under-modelled and absolute cycle counts sit well
 //! below the cycle core's. Format-v2 traces record load→load dependence
 //! edges and replay them with a dependence-aware scheduler
-//! ([`ReplayParams::dependence_aware`]), which must bring replay's
-//! absolute cycles inside a pinned tolerance of the cycle core — and
-//! strictly closer than v1 on the dependence-heavy workloads.
+//! ([`ReplayParams::dependence_aware`]). At Tiny scale, on four of the
+//! eight Table-2 workloads that brings replay's absolute cycles inside
+//! a pinned tolerance of the cycle core and strictly closer than v1; on
+//! the other four it does not, and their errors are pinned so a change
+//! is seen.
 //!
 //! Tolerances are pinned from measured values (same-host, deterministic
 //! simulation) recorded next to each constant.
@@ -40,64 +42,110 @@ struct Agreement {
     v2_err: f64,
 }
 
-/// Runs the cycle core and both replay front ends over one (workload,
-/// mode) cell and reports the two absolute-cycle errors.
-fn measure(wl: &etpp::workloads::BuiltWorkload, mode: PrefetchMode, label: &str) -> Agreement {
+/// Captures `wl` once, then runs the cycle core and both replay front
+/// ends under each of `modes` and reports the two absolute-cycle errors
+/// per mode.
+fn measure(
+    wl: &etpp::workloads::BuiltWorkload,
+    modes: &[PrefetchMode],
+    label: &str,
+) -> Vec<Agreement> {
     let cfg = SystemConfig::paper();
     let (baseline, trace) =
         run_captured(&cfg, PrefetchMode::None, wl, label).expect("baseline runs");
     assert!(baseline.validated);
-    let cycle = if mode == PrefetchMode::None {
-        baseline.cycles
-    } else {
-        run(&cfg, mode, wl).expect("mode expressible").cycles
-    };
     assert_eq!(
         trace.meta.capture_cycles, baseline.cycles,
         "the capture must carry the cycle core's cycle count"
     );
-    let v1 = rp::replay_run_with(&cfg, mode, wl, &trace.records, &v1_params()).expect("replays");
-    let v2 = rp::replay_run(&cfg, mode, wl, &trace.records).expect("replays");
-    assert!(
-        v1.validated && v2.validated,
-        "replays must reproduce output"
-    );
-    assert!(
-        v2.dep_stalls > 0,
-        "{}: dependence-aware replay must actually serialise some loads",
-        wl.name
-    );
-    Agreement {
-        workload: wl.name,
-        mode,
-        cycle,
-        v1_err: rel_err(v1.cycles, cycle),
-        v2_err: rel_err(v2.cycles, cycle),
-    }
+    let agreement = |mode: PrefetchMode| {
+        let cycle = if mode == PrefetchMode::None {
+            baseline.cycles
+        } else {
+            run(&cfg, mode, wl).expect("mode expressible").cycles
+        };
+        let v1 = rp::replay_run_with(&cfg, mode, wl, &trace.records, &v1_params(), None)
+            .expect("replays");
+        let v2 = rp::replay_run(&cfg, mode, wl, &trace.records).expect("replays");
+        assert!(
+            v1.validated && v2.validated,
+            "replays must reproduce output"
+        );
+        assert!(
+            v2.dep_stalls > 0,
+            "{}: dependence-aware replay must actually serialise some loads",
+            wl.name
+        );
+        let a = Agreement {
+            workload: wl.name,
+            mode,
+            cycle,
+            v1_err: rel_err(v1.cycles, cycle),
+            v2_err: rel_err(v2.cycles, cycle),
+        };
+        eprintln!(
+            "{label} {}/{:?}: cycle={} v1_err={:.4} v2_err={:.4}",
+            a.workload, a.mode, a.cycle, a.v1_err, a.v2_err
+        );
+        a
+    };
+    modes.iter().map(|&m| agreement(m)).collect()
 }
 
-/// Tiny-scale agreement gate, run on every `cargo test`. Measured on
-/// the pinning host (debug and release identical — the simulator is
-/// deterministic):
+/// Tiny-scale agreement on all eight Table-2 workloads, run on every
+/// `cargo test`. Measured on the pinning host (debug and release
+/// identical — the simulator is deterministic):
 ///
-/// | workload | mode   | v1 err | v2 err |
-/// |----------|--------|--------|--------|
-/// | IntSort  | none   | 0.3021 | 0.0774 |
-/// | IntSort  | manual | 0.2922 | 0.1244 |
-/// | HJ-8     | none   | 0.8583 | 0.1480 |
-/// | HJ-8     | manual | 0.7825 | 0.1451 |
+/// | workload  | mode   | v1 err | v2 err |
+/// |-----------|--------|--------|--------|
+/// | G500-CSR  | none   | 0.0321 | 0.4703 |
+/// | G500-CSR  | manual | 0.0921 | 0.2407 |
+/// | G500-List | none   | 0.8531 | 0.0196 |
+/// | G500-List | manual | 0.8353 | 0.0187 |
+/// | HJ-2      | none   | 0.4693 | 0.2965 |
+/// | HJ-2      | manual | 0.4582 | 0.3625 |
+/// | HJ-8      | none   | 0.8583 | 0.1480 |
+/// | HJ-8      | manual | 0.7825 | 0.1451 |
+/// | PageRank  | none   | 0.0672 | 0.2003 |
+/// | PageRank  | manual | 0.3296 | 0.0705 |
+/// | RandAcc   | none   | 0.4201 | 0.4039 |
+/// | RandAcc   | manual | 0.1852 | 0.1550 |
+/// | IntSort   | none   | 0.3021 | 0.0774 |
+/// | IntSort   | manual | 0.2922 | 0.1244 |
+/// | ConjGrad  | none   | 0.2511 | 0.1654 |
+/// | ConjGrad  | manual | 0.2799 | 0.1972 |
+///
+/// The four workloads in [`TINY_STRICT`] pass the strict gate: v2
+/// beats v1 and stays within [`TINY_V2_TOLERANCE`].
 const TINY_V2_TOLERANCE: f64 = 0.25;
+
+/// Workloads where dependence-aware replay is strictly closer to the
+/// cycle core than v1 and inside [`TINY_V2_TOLERANCE`].
+const TINY_STRICT: [&str; 4] = ["IntSort", "HJ-8", "G500-List", "ConjGrad"];
+
+/// The other four workloads do not pass the strict gate: v2 is worse
+/// than v1 on G500-CSR (both modes) and PageRank/none, and HJ-2 and
+/// RandAcc/none sit outside [`TINY_V2_TOLERANCE`]. Their v2 errors are
+/// pinned instead, so a front-end change that moves them is seen.
+///
+/// `(workload, mode, v2 err)`
+const TINY_V2_PINNED: &[(&str, PrefetchMode, f64)] = &[
+    ("G500-CSR", PrefetchMode::None, 0.4703),
+    ("G500-CSR", PrefetchMode::Manual, 0.2407),
+    ("HJ-2", PrefetchMode::None, 0.2965),
+    ("HJ-2", PrefetchMode::Manual, 0.3625),
+    ("PageRank", PrefetchMode::None, 0.2003),
+    ("PageRank", PrefetchMode::Manual, 0.0705),
+    ("RandAcc", PrefetchMode::None, 0.4039),
+    ("RandAcc", PrefetchMode::Manual, 0.1550),
+];
 
 #[test]
 fn tiny_dependence_aware_replay_is_strictly_closer_than_v1() {
-    for name in ["IntSort", "HJ-8"] {
+    for name in TINY_STRICT {
         let wl = workload_by_name(name).unwrap().build(Scale::Tiny);
-        for mode in [PrefetchMode::None, PrefetchMode::Manual] {
-            let a = measure(&wl, mode, "tiny");
-            eprintln!(
-                "tiny {}/{:?}: cycle={} v1_err={:.4} v2_err={:.4}",
-                a.workload, a.mode, a.cycle, a.v1_err, a.v2_err
-            );
+        for a in measure(&wl, &[PrefetchMode::None, PrefetchMode::Manual], "tiny") {
+            let mode = a.mode;
             assert!(
                 a.v2_err < a.v1_err,
                 "{name}/{mode:?}: v2 ({:.4}) must beat v1 ({:.4})",
@@ -107,6 +155,25 @@ fn tiny_dependence_aware_replay_is_strictly_closer_than_v1() {
             assert!(
                 a.v2_err <= TINY_V2_TOLERANCE,
                 "{name}/{mode:?}: v2 error {:.4} above tolerance {TINY_V2_TOLERANCE}",
+                a.v2_err
+            );
+        }
+    }
+}
+
+#[test]
+fn tiny_replay_error_matches_pinned_values_off_the_strict_gate() {
+    for name in ["G500-CSR", "HJ-2", "PageRank", "RandAcc"] {
+        let wl = workload_by_name(name).unwrap().build(Scale::Tiny);
+        for a in measure(&wl, &[PrefetchMode::None, PrefetchMode::Manual], "tiny") {
+            let mode = a.mode;
+            let &(_, _, v2_pinned) = TINY_V2_PINNED
+                .iter()
+                .find(|p| (p.0, p.1) == (name, mode))
+                .expect("every off-gate cell is pinned");
+            assert!(
+                (a.v2_err - v2_pinned).abs() <= PIN_SLACK,
+                "{name}/{mode:?}: v2 error {:.4} drifted from pinned {v2_pinned:.4}",
                 a.v2_err
             );
         }
@@ -140,11 +207,7 @@ fn small_scale_manual_agreement_matches_pinned_values() {
     }
     for &(name, v1_pinned, v2_pinned) in SMALL_MANUAL_MEASURED {
         let wl = workload_by_name(name).unwrap().build(Scale::Small);
-        let a = measure(&wl, PrefetchMode::Manual, "small");
-        eprintln!(
-            "small {}/manual: cycle={} v1_err={:.4} v2_err={:.4}",
-            a.workload, a.cycle, a.v1_err, a.v2_err
-        );
+        let a = &measure(&wl, &[PrefetchMode::Manual], "small")[0];
         assert!(
             a.v2_err < a.v1_err,
             "{name}: v2 ({:.4}) must beat v1 ({:.4})",

@@ -3,7 +3,7 @@
 //! result cache hits on every warm lookup while a config change misses
 //! exactly the changed cells.
 
-use etpp::sim::replay::load_or_capture_keyed;
+use etpp::sim::replay::load_or_capture;
 use etpp::sim::sweeps::{self, axes, SweepOptions, SweepSpec};
 use etpp::sim::{PrefetchMode, SystemConfig};
 use etpp::workloads::{workload_by_name, Scale};
@@ -48,7 +48,7 @@ impl Drop for TempDir {
 fn merged_tables_are_byte_identical_for_any_jobs_and_shard_split() {
     let spec = probe_spec();
     let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
-    let cap = load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION);
+    let cap = load_or_capture(None, &spec.base, &wl, "tiny").expect("capture");
     let wls = std::slice::from_ref(&wl);
     let caps = std::slice::from_ref(&cap);
 
@@ -80,7 +80,7 @@ fn merged_tables_are_byte_identical_for_any_jobs_and_shard_split() {
 fn result_cache_hits_warm_and_invalidates_exactly_changed_cells() {
     let spec = probe_spec();
     let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
-    let cap = load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION);
+    let cap = load_or_capture(None, &spec.base, &wl, "tiny").expect("capture");
     let wls = std::slice::from_ref(&wl);
     let caps = std::slice::from_ref(&cap);
     let tmp = TempDir::new("cache");
